@@ -40,6 +40,7 @@ from .modroots import (
     CertificationInconclusive,
     PadicRoot,
     certify_padic_root,
+    first_rootless_prime,
     lift_roots,
     newton_lift,
     roots_mod_p,

@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .arith import crt_pair, factorize, primes_upto
+from .arith import crt_pair, factorize, primes_upto, valuation
 from .cache import RootCache
-from .modroots import PadicRoot, certify_padic_root, newton_lift, roots_mod_p
+from .modroots import (SCAN_PRIME_LIMIT, PadicRoot, certify_padic_root,
+                       first_rootless_prime, newton_lift)
 from .polys import IntPoly, gcd_primitive, resultant, squarefree_part
 
 DEFAULT_SCAN_BOUND = 10_000
-_SCAN_THRESHOLD = 64  # direct-scan cutoff while sweeping unramified primes
 
 KINDS = ("first", "second")
 
@@ -79,6 +79,8 @@ def check_intersective(P: IntPoly, kind: str = "second",
         raise ValueError("kind must be 'first' or 'second'")
     if P.is_zero or P.degree < 1:
         raise ValueError("polynomial must be nonconstant")
+    if bound >= SCAN_PRIME_LIMIT:
+        raise ValueError("scan bound must be below 2^31")
     content = P.content()
     P0 = P.primitive()
     pstar = squarefree_part(P0)
@@ -98,7 +100,7 @@ def check_intersective(P: IntPoly, kind: str = "second",
     for p in sorted(ramified):
         root = certify_padic_root(P0, p, kind, seed=seed)
         if root is None:
-            beta = _val(D, p)
+            beta = valuation(D, p)
             need = "unit root" if kind == "second" else "root"
             reason = f"no {need} mod {p}^{2 * beta + 1}"
             if kind == "second" and p == 2:
@@ -106,24 +108,16 @@ def check_intersective(P: IntPoly, kind: str = "second",
             return _fails(kind, bound, p, reason, witnesses, content)
         witnesses[p] = root
 
-    for p in primes_upto(bound):
-        if p in ramified:
-            continue
-        if not roots_mod_p(scan_poly, p, scan_limit=_SCAN_THRESHOLD, seed=seed):
-            return _fails(kind, bound, p, f"no root mod {p} (unramified prime)",
-                          witnesses, content)
+    # the leading coefficient divides D, so every prime left is unramified
+    p = first_rootless_prime(scan_poly,
+                             [p for p in primes_upto(bound) if p not in ramified])
+    if p is not None:
+        return _fails(kind, bound, p, f"no root mod {p} (unramified prime)",
+                      witnesses, content)
     return IntersectivityVerdict(kind=kind, status="certified_up_to",
                                  scan_bound=bound,
                                  ramified_witnesses=witnesses,
                                  content_removed=content)
-
-
-def _val(n: int, p: int) -> int:
-    v = 0
-    while n and n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def check_joint(hs, kind: str = "second", bound: int = DEFAULT_SCAN_BOUND, *,

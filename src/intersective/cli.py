@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -75,6 +76,27 @@ def _emit(args, obj: dict, csv_rows: tuple[list[str], list[list]]) -> None:
         sys.stdout.write(buf.getvalue())
     else:
         print(json.dumps(obj))
+
+
+def _reals(value, what: str) -> list[float]:
+    """value, parsed with JSON integers as floats, if it is a list of finite
+    reals; float overflow and NaN/Infinity literals are not finite."""
+    if not (isinstance(value, list)
+            and all(isinstance(v, float) and math.isfinite(v) for v in value)):
+        raise ValueError(f"{what} must be a JSON list of finite numbers")
+    return value
+
+
+def _json_reals(text: str, flag: str) -> list[float]:
+    return _reals(json.loads(text, parse_int=float), flag)
+
+
+def _json_matrix(text: str) -> list[list[float]]:
+    """--A of search and theta-fit: a JSON list of rows of finite reals."""
+    rows = json.loads(text, parse_int=float)
+    if not isinstance(rows, list):
+        raise ValueError("--A must be a JSON list of rows, such as [[0.5]]")
+    return [_reals(row, "each row of --A") for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +230,8 @@ def _cmd_weyl(args) -> int:
 
 
 def _cmd_simul(args) -> int:
-    alphas = json.loads(args.alphas)
-    wts = json.loads(args.weights) if args.weights else None
+    alphas = _json_reals(args.alphas, "--alphas")
+    wts = _json_reals(args.weights, "--weights") if args.weights else None
     q, errs = dio.simultaneous_approx(alphas, args.Q, wts)
     _emit(args, {"q": q, "errs": errs},
           (["q", "errs"], [[q, ";".join(repr(e) for e in errs)]]))
@@ -217,8 +239,8 @@ def _cmd_simul(args) -> int:
 
 
 def _cmd_montgomery(args) -> int:
-    xs = json.loads(args.xs)
-    cs = json.loads(args.cs)
+    xs = _json_reals(args.xs, "--xs")
+    cs = _json_reals(args.cs, "--cs")
     t, mag = dio.montgomery_witness(xs, cs, args.M)
     _emit(args, {"t": t, "abs_s": mag}, (["t", "abs_s"], [[t, mag]]))
     return 0
@@ -236,7 +258,7 @@ def _search_progression(args, hs):
 
 def _cmd_search(args) -> int:
     hs = [parse_poly(s) for s in args.polys]
-    A = json.loads(args.A)
+    A = _json_matrix(args.A)
     prog = _search_progression(args, hs)
     res = dio.search_min_frac(hs, A, args.N, prog, jobs=args.jobs)
     obj = {"p": res.p, "values": list(res.values), "max_frac": res.max_frac,
@@ -251,7 +273,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_theta_fit(args) -> int:
     hs = [parse_poly(s) for s in args.polys]
-    A = json.loads(args.A)
+    A = _json_matrix(args.A)
     Ns = [int(s) for s in args.Ns.split(",")]
     prog = _search_progression(args, hs)
     fit = dio.theta_fit(hs, A, Ns, prog, jobs=args.jobs)

@@ -199,6 +199,79 @@ def _pdiv_exact(a: list[int], b: list[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
+# -- root existence at many primes -------------------------------------------
+
+SCAN_PRIME_LIMIT = 1 << 31  # lanes hold products of two residues in int64
+_BLOCK_FIRST, _BLOCK_CAP = 64, 1 << 13
+
+
+def first_rootless_prime(P: IntPoly, primes) -> int | None:
+    """Smallest prime in primes at which P has no root mod p, or None.
+
+    P has a root mod p exactly when gcd(P, x^p - x) is nonconstant over F_p.
+    x^p mod P is computed for a whole block of primes at once (one int64
+    lane per prime, one square-and-multiply ladder for all lanes), then the
+    gcd is taken prime by prime in increasing order. Blocks grow from 64
+    primes up to a fixed cap, so an early failure stays cheap and memory
+    stays bounded. Every prime must be below 2^31 and must not divide the
+    leading coefficient of P.
+    """
+    primes = sorted(primes)
+    if primes and primes[-1] >= SCAN_PRIME_LIMIT:
+        raise ValueError("primes must be below 2^31")
+    start, size = 0, _BLOCK_FIRST
+    while start < len(primes):
+        block = primes[start:start + size]
+        for p, f, xp in zip(block, *_frobenius_block(P, block)):
+            h = xp + [0] * (2 - len(xp))
+            h[1] = (h[1] - 1) % p
+            if len(_pgcd(f, _ptrim(h), p)) == 1:
+                return p
+        start += size
+        size = min(4 * size, _BLOCK_CAP)
+    return None
+
+
+def _frobenius_block(P: IntPoly, block: list[int]) -> tuple[list, list]:
+    """For each prime p of the block: the monic reduction f of P mod p and
+    x^p mod f, both as ascending coefficient lists."""
+    lcs = [P.lead % p for p in block]
+    if not all(lcs):
+        bad = block[lcs.index(0)]
+        raise ValueError(f"{bad} divides the leading coefficient of {P}")
+    ps = np.array(block, dtype=np.int64)[:, None]
+    inv = np.array([pow(c, -1, p) for c, p in zip(lcs, block)], dtype=np.int64)
+    low = np.array([[c % p for c in P.coeffs[:-1]] for p in block],
+                   dtype=np.int64).reshape(len(block), len(P.coeffs) - 1)
+    low = low * inv[:, None] % ps  # f = x^n + sum_i low[:, i] x^i
+    acc = np.zeros_like(low)
+    acc[:, :1] = 1
+    for bit in reversed(range(int(ps.max()).bit_length())):
+        acc = _lane_reduce(_lane_square(acc, ps), low, ps)
+        times_x = np.zeros((len(block), low.shape[1] + 1), dtype=np.int64)
+        times_x[:, 1:] = acc
+        acc = np.where((ps >> bit) & 1 == 1, _lane_reduce(times_x, low, ps), acc)
+    f = [row + [1] for row in low.tolist()]
+    return f, acc.tolist()
+
+
+def _lane_square(a: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Square of each lane's polynomial, reduced mod its prime per product."""
+    n = a.shape[1]
+    out = np.zeros((a.shape[0], max(2 * n - 1, 0)), dtype=np.int64)
+    for i in range(n):
+        out[:, i:i + n] = (out[:, i:i + n] + a[:, i:i + 1] * a) % ps
+    return out
+
+
+def _lane_reduce(r: np.ndarray, low: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Remainder of each lane's polynomial r mod its monic x^n + low."""
+    n = low.shape[1]
+    for k in range(r.shape[1] - 1, n - 1, -1):
+        r[:, k - n:k] = (r[:, k - n:k] - r[:, k:k + 1] * low) % ps
+    return r[:, :n]
+
+
 # -- prime-power lifting -----------------------------------------------------
 
 

@@ -254,3 +254,23 @@ class TestCli:
                                "(x^3-19)*(x^2+x+1)")
         assert code == 0
         assert target.exists()
+
+    def test_search_matrix_not_rows_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "search", "--N", "50", "--A", "[1]", "x^2")
+        assert code == 2 and "--A" in err
+
+    def test_search_matrix_overflow_exit_2(self, capsys):
+        for entry in ("1e400", "1" + "0" * 400):
+            code, _, err = run_cli(capsys, "search", "--N", "50", "--A",
+                                   f"[[{entry}]]", "x^2")
+            assert code == 2 and "finite" in err
+
+    def test_simul_alphas_overflow_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "simul", "--alphas", "[1e400]",
+                               "--Q", "10")
+        assert code == 2 and "--alphas" in err
+
+    def test_montgomery_points_overflow_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "montgomery", "--xs", "[1e400]",
+                               "--cs", "[1.0]", "--M", "4")
+        assert code == 2 and "--xs" in err
