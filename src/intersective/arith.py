@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -31,37 +33,40 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n by a simple sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start:: p] = bytearray(len(range(start, n + 1, p)))
-    return [i for i in range(n + 1) if sieve[i]]
+SEGMENT = 1 << 18
+"""Consecutive integers sieved at once by prime_segments; bounds its memory."""
+
+
+def prime_segments(lo: int, hi: int):
+    """The primes in [lo, hi] as sorted int64 arrays, one array (possibly
+    empty) per segment of SEGMENT consecutive integers, in increasing order.
+
+    Memory is O(SEGMENT + sqrt(hi)): the primes up to sqrt(hi) that cross
+    off composites come from the same sieve.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return
+    base = [p for seg in prime_segments(2, math.isqrt(hi)) for p in seg.tolist()]
+    for seg_lo in range(lo, hi + 1, SEGMENT):
+        seg_hi = min(seg_lo + SEGMENT - 1, hi)
+        flags = np.ones(seg_hi - seg_lo + 1, dtype=bool)
+        for p in base:
+            if p * p > seg_hi:
+                break
+            start = max(p * p, -(-seg_lo // p) * p)
+            flags[start - seg_lo::p] = False
+        yield np.flatnonzero(flags) + seg_lo
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi] via a segmented sieve over that window."""
-    if hi < 2 or hi < lo:
-        return []
-    lo = max(lo, 2)
-    base = primes_upto(math.isqrt(hi))
-    out: list[int] = []
-    seg_size = 1 << 16
-    for seg_lo in range(lo, hi + 1, seg_size):
-        seg_hi = min(seg_lo + seg_size - 1, hi)
-        seg = bytearray([1]) * (seg_hi - seg_lo + 1)
-        for p in base:
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start > seg_hi:
-                continue
-            seg[start - seg_lo:: p] = bytearray(len(range(start, seg_hi + 1, p)))
-        out.extend(seg_lo + i for i, flag in enumerate(seg) if flag)
-    return out
+    """Primes in [lo, hi]."""
+    return [p for seg in prime_segments(lo, hi) for p in seg.tolist()]
+
+
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n."""
+    return primes_in_range(2, n)
 
 
 def _pollard_rho(n: int) -> int:

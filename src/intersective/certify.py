@@ -12,10 +12,11 @@ checked prime and heuristic beyond the scan bound.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import gcd
 
-from .arith import crt_pair, factorize, primes_upto, valuation
+from .arith import crt_pair, factorize, prime_segments, valuation
 from .cache import RootCache
 from .modroots import (SCAN_PRIME_LIMIT, PadicRoot, certify_padic_root,
                        first_rootless_prime, newton_lift)
@@ -108,12 +109,14 @@ def check_intersective(P: IntPoly, kind: str = "second",
             return _fails(kind, bound, p, reason, witnesses, content)
         witnesses[p] = root
 
-    # the leading coefficient divides D, so every prime left is unramified
-    p = first_rootless_prime(scan_poly,
-                             [p for p in primes_upto(bound) if p not in ramified])
-    if p is not None:
-        return _fails(kind, bound, p, f"no root mod {p} (unramified prime)",
-                      witnesses, content)
+    # the leading coefficient divides D, so every prime left is unramified;
+    # one sieve segment at a time keeps memory flat in the bound
+    for segment in prime_segments(2, bound):
+        p = first_rootless_prime(
+            scan_poly, [p for p in segment.tolist() if p not in ramified])
+        if p is not None:
+            return _fails(kind, bound, p, f"no root mod {p} (unramified prime)",
+                          witnesses, content)
     return IntersectivityVerdict(kind=kind, status="certified_up_to",
                                  scan_bound=bound,
                                  ramified_witnesses=witnesses,
@@ -165,6 +168,13 @@ class RdRecord:
     roots: dict[int, PadicRoot]
 
 
+@functools.lru_cache(maxsize=64)
+def _squarefree_gcd(hs: tuple[IntPoly, ...]) -> IntPoly:
+    """Squarefree part of a family's primitive gcd, kept across make_rd calls."""
+    g = gcd_primitive(hs)
+    return squarefree_part(g) if g.degree >= 1 else g
+
+
 def make_rd(hs, d: int, cache: RootCache | None = None, *,
             seed: int = 0) -> RdRecord:
     """Construct the canonical residue r_d for a jointly second-kind family.
@@ -177,9 +187,7 @@ def make_rd(hs, d: int, cache: RootCache | None = None, *,
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    hs = list(hs)
-    g = gcd_primitive(hs)
-    gstar = squarefree_part(g) if g.degree >= 1 else g
+    gstar = _squarefree_gcd(tuple(hs))
     if cache is None:
         cache = RootCache()
 

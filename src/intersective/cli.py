@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on a conclusive negative verdict (a failed
 certification, an empty certificate), 2 on usage or parse errors, 3 when a
-certification is inconclusive.
+certification is inconclusive or an unexpected internal error occurs.
 
 JSON is the default output format; --format csv switches every command to a
 flat header+rows rendering with a fixed column set per command. Arbitrarily
@@ -212,11 +212,11 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_expsum(args) -> int:
-    f = dio.RealPoly(json.loads(args.f))
+    f = dio.RealPoly(_json_reals(args.f, "--f"))
     w = dio.WeightSpec(args.m, args.b)
     lo = args.L + 1
-    s = dio.exp_sum(f, w, lo, args.N, jobs=args.jobs)
-    wsum = sum(dio.weights(w, args.N)[lo - 1:])
+    s = dio.exp_sum(f, w, lo, args.N)
+    wsum = dio.exp_sum(dio.RealPoly(), w, lo, args.N).real
     obj = {"re": s.real, "im": s.imag, "abs": abs(s), "weight_sum": wsum}
     _emit(args, obj, (["re", "im", "abs", "weight_sum"],
                       [[s.real, s.imag, abs(s), wsum]]))
@@ -260,7 +260,7 @@ def _cmd_search(args) -> int:
     hs = [parse_poly(s) for s in args.polys]
     A = _json_matrix(args.A)
     prog = _search_progression(args, hs)
-    res = dio.search_min_frac(hs, A, args.N, prog, jobs=args.jobs)
+    res = dio.search_min_frac(hs, A, args.N, prog)
     obj = {"p": res.p, "values": list(res.values), "max_frac": res.max_frac,
            "N": res.N, "d": res.d, "r_d": res.r_d}
     _emit(args, obj,
@@ -276,7 +276,7 @@ def _cmd_theta_fit(args) -> int:
     A = _json_matrix(args.A)
     Ns = [int(s) for s in args.Ns.split(",")]
     prog = _search_progression(args, hs)
-    fit = dio.theta_fit(hs, A, Ns, prog, jobs=args.jobs)
+    fit = dio.theta_fit(hs, A, Ns, prog)
     obj = {"slope": fit.slope, "intercept": fit.intercept,
            "points": [[n, mf] for n, mf in fit.points]}
     _emit(args, obj,
@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         return p
 
     p = add("delta", _cmd_delta, help="product of resultants Res(h, h') over "
@@ -421,6 +420,9 @@ def main(argv=None) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 would claim a conclusive negative
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

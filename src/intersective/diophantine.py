@@ -9,15 +9,15 @@ where v = A (h_1(p), ..., h_k(p)) for an integer polynomial family h and a
 real matrix A.
 
 Fractional parts of alpha * n for huge integers n are computed exactly: a
-double is a dyadic rational, so alpha * n mod 1 reduces to one big-integer
-multiplication and one modular reduction, keeping every reported fractional
-part correct to the last bit instead of losing all precision once the
-polynomial values pass 2^53.
+double is a dyadic rational num / 2^e, so alpha * n mod 1 is (num n mod 2^e)
+/ 2^e, rounded once, correct to the last bit however far the polynomial
+values pass 2^53. For e <= 64 that depends only on n mod 2^64, which numpy
+uint64 arithmetic gives through wrap-around, so whole blocks of primes from
+a streamed segmented sieve are evaluated at once.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import statistics
 from dataclasses import dataclass
@@ -25,10 +25,11 @@ from math import gcd
 
 import numpy as np
 
-from .arith import primes_in_range
+from .arith import SEGMENT, prime_segments
 from .polys import IntPoly
 
 MAX_SUM_RANGE = 10 ** 9
+_WRAP = 1 << 64
 
 
 @dataclass(frozen=True, init=False)
@@ -93,29 +94,82 @@ def frac_mul(alpha: float, n: int) -> float:
     return (num * n) % den / den
 
 
-def sieve_primes(N: int, progression: tuple[int, int] | None = None) -> list[int]:
-    """Primes <= N, restricted to p = r mod d when a progression is given."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    primes = primes_in_range(2, N)
-    if progression is None:
-        return primes
-    d, r = progression
+def _fracs(A, hs, xs: np.ndarray) -> np.ndarray:
+    """v_i(x) mod 1 for v = A (h_1(x), ..., h_k(x)), rows i, one column per x
+    of xs: the terms frac_mul(A[i][j], h_j(x)) added left to right in double
+    precision, zero entries skipped, then reduced mod 1.
+
+    An entry num / 2^e with e <= 64 takes (num h mod 2^e) / 2^e on the uint64
+    values h mod 2^64: one rounding, the value frac_mul returns. An entry
+    with e > 64 needs more bits of h than that, so it takes frac_mul on the
+    exact integer values.
+    """
+    us = xs.astype(np.uint64)
+    wrapped = []  # h(x) mod 2^64 by Horner: uint64 products wrap around
+    for h in hs:
+        hx = np.zeros(len(xs), dtype=np.uint64)
+        for c in reversed(h.coeffs):
+            hx = hx * us + np.uint64(c % _WRAP)
+        wrapped.append(hx)
+    out = np.zeros((len(A), len(xs)))
+    for row, acc in zip(A, out):
+        for a, h, hx in zip(row, hs, wrapped):
+            if not a:
+                continue
+            num, den = a.as_integer_ratio()
+            if den <= _WRAP:
+                low = (np.uint64(num % _WRAP) * hx) & np.uint64(den - 1)
+                acc += low / float(den)
+            else:
+                acc += [frac_mul(a, h.eval(x)) for x in xs.tolist()]
+    return out % 1.0
+
+
+def _frac_norms(A, hs, xs: np.ndarray) -> np.ndarray:
+    """||v_i(x)||, laid out as in _fracs."""
+    f = _fracs(A, hs, xs)
+    return np.minimum(f, 1.0 - f)
+
+
+def _prime_blocks(N: int, progression: tuple[int, int] | None):
+    """Primes <= N, restricted to p = r mod d when a progression (d, r) is
+    given, as nonempty sorted int64 arrays, one per sieve segment."""
+    d, r = progression if progression is not None else (1, 0)
     if d < 1:
         raise ValueError("progression modulus must be positive")
     r %= d
     if gcd(r, d) != 1:
         raise ValueError(f"progression {r} mod {d} is not coprime")
-    return [p for p in primes if p % d == r]
+    for ps in prime_segments(2, N):
+        ps = ps[ps % d == r]
+        if ps.size:
+            yield ps
+
+
+def sieve_primes(N: int, progression: tuple[int, int] | None = None) -> list[int]:
+    """Primes <= N, restricted to p = r mod d when a progression is given."""
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    return [p for ps in _prime_blocks(N, progression) for p in ps.tolist()]
+
+
+def _weight_blocks(w: WeightSpec, lo: int, hi: int):
+    """(n, lambda_{m,b}(n)) over the n in [lo, hi] with mn + b prime, as
+    arrays, one pair per sieve segment."""
+    for vs in prime_segments(w.m * lo + w.b, w.m * hi + w.b):
+        vs = vs[vs % w.m == w.b]
+        if vs.size:
+            yield (vs - w.b) // w.m, np.log(vs)
 
 
 def weights(w: WeightSpec, N: int) -> list[float]:
     """Vector of lambda_{m,b}(n) for n = 1..N (index n-1)."""
     if N < 1:
         raise ValueError("N must be a positive integer")
-    prime_set = set(primes_in_range(w.m + w.b, w.m * N + w.b))
-    return [math.log(w.m * n + w.b) if w.m * n + w.b in prime_set else 0.0
-            for n in range(1, N + 1)]
+    out = np.zeros(N)
+    for ns, lams in _weight_blocks(w, 1, N):
+        out[ns - 1] = lams
+    return out.tolist()
 
 
 def weight_sum_bounds_check(w: WeightSpec, N: int, L: float) -> tuple[float, float, float]:
@@ -128,95 +182,41 @@ def weight_sum_bounds_check(w: WeightSpec, N: int, L: float) -> tuple[float, flo
         raise ValueError("L must be positive")
     if w.m > N ** (1.0 / L):
         raise ValueError(f"m = {w.m} exceeds N^(1/L) = {N ** (1.0 / L):.3f}")
-    total = math.fsum(weights(w, N))
+    total = exp_sum(RealPoly(), w, 1, N).real  # e(0) = 1: the weight sum
     return total, N / w.m ** 2, N * w.m
 
 
-class _Neumaier:
-    """Compensated scalar accumulator."""
+def _exact_parts(xs: list[float]) -> list[float]:
+    """A few floats whose exact sum is the exact sum of xs.
 
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def total(self) -> float:
-        return self.s + self.c
+    math.fsum rounds the remainder correctly, so each pass takes off at
+    least 52 bits of it and the loop ends after a few passes.
+    """
+    parts = []
+    while s := math.fsum(xs):
+        parts.append(s)
+        xs.append(-s)
+    return parts
 
 
-def _phase(f: RealPoly, n: int) -> float:
-    """Exact value of f(n) mod 1."""
-    acc = 0.0
-    power = 1
-    for a in f.coeffs:
-        if a:
-            acc += frac_mul(a, power)
-        power *= n
-    return acc % 1.0
-
-
-def _exp_sum_block(f: RealPoly, w: WeightSpec, lo: int, hi: int) -> complex:
-    prime_set = set(primes_in_range(w.m * lo + w.b, w.m * hi + w.b))
-    re = _Neumaier()
-    im = _Neumaier()
-    two_pi = 2.0 * math.pi
-    for n in range(lo, hi + 1):
-        v = w.m * n + w.b
-        if v in prime_set:
-            lam = math.log(v)
-            theta = two_pi * _phase(f, n)
-            re.add(lam * math.cos(theta))
-            im.add(lam * math.sin(theta))
-    return complex(re.total, im.total)
-
-
-def exp_sum(f: RealPoly, w: WeightSpec, lo: int, hi: int, *, jobs: int = 1) -> complex:
+def exp_sum(f: RealPoly, w: WeightSpec, lo: int, hi: int) -> complex:
     """Sum of lambda_{m,b}(n) e(f(n)) over lo <= n <= hi.
 
-    Accumulated with compensated summation; an empty range gives 0. With
-    jobs > 1 the range splits into contiguous blocks whose compensated block
-    sums are combined in index order, so results are deterministic per job
-    count.
+    The phases f(n) mod 1 are exact; the real and imaginary parts are the
+    exactly rounded sums of the terms, whatever the sieve segment size. An
+    empty range gives 0, and the zero polynomial gives the weight sum.
     """
     if lo < 1:
         raise ValueError("range must start at 1 or later")
     if hi > MAX_SUM_RANGE:
         raise ValueError(f"range end exceeds guard of {MAX_SUM_RANGE}")
-    if hi < lo:
-        return complex(0.0, 0.0)
-    if jobs <= 1 or hi - lo < 4 * jobs:
-        return _exp_sum_block(f, w, lo, hi)
-    bounds = _split_range(lo, hi, jobs)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        blocks = list(pool.map(_exp_sum_worker,
-                               [(f.coeffs, w.m, w.b, a, b) for a, b in bounds]))
-    re = _Neumaier()
-    im = _Neumaier()
-    for z in blocks:
-        re.add(z.real)
-        im.add(z.imag)
-    return complex(re.total, im.total)
-
-
-def _exp_sum_worker(payload) -> complex:
-    coeffs, m, b, lo, hi = payload
-    return _exp_sum_block(RealPoly(coeffs), WeightSpec(m, b), lo, hi)
-
-
-def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    n = hi - lo + 1
-    size = (n + parts - 1) // parts
-    return [(a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
+    powers = [IntPoly.monomial(1, i) for i in range(len(f.coeffs))]
+    re, im = [], []
+    for ns, lams in _weight_blocks(w, lo, hi):
+        theta = 2.0 * math.pi * _fracs([f.coeffs], powers, ns)[0]
+        re = _exact_parts(re + (lams * np.cos(theta)).tolist())
+        im = _exact_parts(im + (lams * np.sin(theta)).tolist())
+    return complex(math.fsum(re), math.fsum(im))
 
 
 def weyl_bound_eval(k: int, q: float, N: float, m: float, eps: float) -> float:
@@ -250,12 +250,16 @@ def simultaneous_approx(alphas, Q: int, weights=None) -> tuple[int, list[float]]
         weights = [1.0] * len(alphas)
     if len(weights) != len(alphas):
         raise ValueError("weights length must match alphas")
+    rows = [[a] for a in alphas]
+    x = [IntPoly.x()]
+    scale = np.array(weights, dtype=float)[:, None]
     best_q, best_err = 1, math.inf
-    for q in range(1, Q + 1):
-        err = max((frac_norm(frac_mul(a, q)) * wt
-                   for a, wt in zip(alphas, weights)), default=0.0)
-        if err < best_err:
-            best_q, best_err = q, err
+    for lo in range(1, Q + 1, SEGMENT):
+        qs = np.arange(lo, min(lo + SEGMENT, Q + 1))
+        errs = (_frac_norms(rows, x, qs) * scale).max(axis=0, initial=-math.inf)
+        i = int(errs.argmin())
+        if errs[i] < best_err:
+            best_q, best_err = int(qs[i]), errs[i]
     errs = [frac_norm(frac_mul(a, best_q)) for a in alphas]
     return best_q, errs
 
@@ -293,59 +297,34 @@ def montgomery_witness(xs, cs, M: int) -> tuple[int, float]:
     return t, float(best)
 
 
-def _eval_frac_vector(hs, A, p: int) -> list[float]:
-    """||v_i(p)|| for v = A (h_1(p), ..., h_k(p)), computed exactly mod 1."""
-    values = [h.eval(p) for h in hs]
-    out = []
-    for row in A:
-        acc = 0.0
-        for a, hv in zip(row, values):
-            if a:
-                acc += frac_mul(a, hv)
-        out.append(frac_norm(acc))
-    return out
-
-
-def _search_block(payload):
-    h_coeffs, A, primes = payload
-    hs = [IntPoly(cs) for cs in h_coeffs]
-    best = None
-    for p in primes:
-        vals = _eval_frac_vector(hs, A, p)
-        mf = max(vals)
-        if best is None or mf < best[0]:
-            best = (mf, p, vals)
-    return best
-
-
-def search_min_frac(hs, A, N: int,
-                    progression: tuple[int, int] | None = None, *,
-                    jobs: int = 1) -> SearchResult:
-    """Minimize max_i ||v_i(p)|| over primes p <= N (optionally p = r mod d).
-
-    Polynomial values are computed as exact integers and reduced mod 1
-    exactly before the double-precision max; ties go to the smallest prime.
-    """
-    hs = [h for h in hs]
+def _sweep(hs, A, N: int, progression):
+    """Per block of primes p <= N (p = r mod d when given): the primes, the
+    vectors ||v_i(p)|| as columns, and the maximum of each column."""
+    hs = list(hs)
     A = [list(map(float, row)) for row in A]
     if not A or any(len(row) != len(hs) for row in A):
         raise ValueError("A must be an l x k matrix with k = len(hs)")
     if N < 2:
         raise ValueError("N must be at least 2")
-    primes = sieve_primes(N, progression)
-    if not primes:
+    for ps in _prime_blocks(N, progression):
+        vals = _frac_norms(A, hs, ps)
+        yield ps, vals, vals.max(axis=0)
+
+
+def search_min_frac(hs, A, N: int,
+                    progression: tuple[int, int] | None = None) -> SearchResult:
+    """Minimize max_i ||v_i(p)|| over primes p <= N (optionally p = r mod d).
+
+    Polynomial values are reduced mod 1 exactly before the double-precision
+    max; ties go to the smallest prime.
+    """
+    best = None
+    for ps, vals, mf in _sweep(hs, A, N, progression):
+        i = int(mf.argmin())
+        if best is None or mf[i] < best[0]:
+            best = (float(mf[i]), int(ps[i]), vals[:, i].tolist())
+    if best is None:
         raise ValueError("no prime in the requested range/progression")
-
-    if jobs <= 1 or len(primes) < 4 * jobs:
-        best = _search_block(([h.coeffs for h in hs], A, primes))
-    else:
-        size = (len(primes) + jobs - 1) // jobs
-        chunks = [primes[i:i + size] for i in range(0, len(primes), size)]
-        payloads = [([h.coeffs for h in hs], A, chunk) for chunk in chunks]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = [r for r in pool.map(_search_block, payloads) if r]
-        best = min(results, key=lambda t: (t[0], t[1]))
-
     mf, p, vals = best
     d, r_d = progression if progression is not None else (None, None)
     return SearchResult(p=p, values=tuple(vals), max_frac=mf, N=N, d=d, r_d=r_d)
@@ -360,23 +339,32 @@ class ThetaFit:
     points: tuple[tuple[int, float], ...]
 
 
-def theta_fit(hs, A, Ns, progression: tuple[int, int] | None = None, *,
-              jobs: int = 1) -> ThetaFit:
+def theta_fit(hs, A, Ns, progression: tuple[int, int] | None = None) -> ThetaFit:
     """Least-squares slope of log(min max ||v_i(p)||) against log N.
 
-    The slope is an empirical decay exponent for the searched family only;
-    it estimates nothing beyond the sampled range. All-zero minima (an
-    integral matrix A, say) are rejected since the log is undefined.
+    One sweep over the primes up to max(Ns) gives every point as a prefix
+    minimum, equal to search_min_frac at that N. The slope is an empirical
+    decay exponent for the searched family only; it estimates nothing beyond
+    the sampled range. All-zero minima (an integral matrix A, say) are
+    rejected since the log is undefined.
     """
     Ns = [int(n) for n in Ns]
     if len(Ns) < 3:
         raise ValueError("need at least three bounds")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("bounds must be strictly increasing")
-    points = []
-    for n in Ns:
-        res = search_min_frac(hs, A, n, progression, jobs=jobs)
-        points.append((n, res.max_frac))
+    points, best = [], math.inf
+    pending = Ns[::-1]
+    for ps, _, mf in _sweep(hs, A, Ns[-1], progression):
+        # a bound below the block's last prime sees no later block
+        while pending and pending[-1] < ps[-1]:
+            n = pending.pop()
+            cut = int(np.searchsorted(ps, n, side="right"))
+            points.append((n, min(best, float(mf[:cut].min(initial=math.inf)))))
+        best = min(best, float(mf.min()))
+    points += [(n, best) for n in reversed(pending)]
+    if points[0][1] == math.inf:
+        raise ValueError("no prime in the requested range/progression")
     if any(mf == 0.0 for _, mf in points):
         raise ValueError("degenerate: zero minima")
     xs = [math.log(n) for n, _ in points]

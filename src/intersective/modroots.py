@@ -407,14 +407,10 @@ def certify_padic_root(P: IntPoly, p: int, kind: str = "second", *,
             cands = [r for r in cands if r % p != 0]
         if not cands and level == 2 * beta + 1:
             return None
-        slacked = []
-        for r in cands:
+        for r in cands:  # increasing, so the first slack-bearing root is the least
             root = PadicRoot.for_poly(pstar, p, level, r)
             if root.slack is not None:
-                slacked.append(root)
-        if slacked:
-            best = min(slacked, key=lambda rt: rt.r)
-            return _stabilize(pstar, best)
+                return _stabilize(pstar, root)
         level += 1
     raise CertificationInconclusive(f"certification inconclusive at {p}")
 

@@ -1,8 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from intersective import arith
 from intersective import (
     IntPoly,
     RealPoly,
@@ -19,6 +24,7 @@ from intersective import (
     weights,
     weyl_bound_eval,
 )
+from intersective.diophantine import _fracs
 
 from helpers import naive_min_frac_search, trial_division_primes
 
@@ -162,12 +168,62 @@ class TestExpSum:
         with pytest.raises(ValueError, match="guard"):
             exp_sum(RealPoly([]), WeightSpec(1, 0), 1, 10 ** 9 + 1)
 
-    def test_parallel_blocks_match_serial(self):
-        w = WeightSpec(1, 0)
+    def test_segment_boundaries_give_identical_sum(self, monkeypatch):
+        # the sum is exactly rounded, so the sieve segment size cannot move it
         f = RealPoly([0.0, SQRT2, 0.3])
-        serial = exp_sum(f, w, 1, 3000)
-        parallel = exp_sum(f, w, 1, 3000, jobs=2)
-        assert abs(serial - parallel) < 1e-10
+        for w in (WeightSpec(1, 0), WeightSpec(4, 3)):
+            one = exp_sum(f, w, 1, 3000)
+            ws = weights(w, 3000)
+            monkeypatch.setattr(arith, "SEGMENT", 97)
+            assert exp_sum(f, w, 1, 3000) == one
+            assert weights(w, 3000) == ws
+            monkeypatch.undo()
+
+
+doubles = st.floats(allow_nan=False, allow_infinity=False)
+edge_doubles = st.sampled_from([
+    0.0, -0.0, 3.0, -2.0, 2.0 ** 60, 2.0 ** 1000,             # e = 0
+    3 * 2.0 ** -64, (2 ** 53 - 1) * 2.0 ** -64, -(2.0 ** -64),  # e = 64
+    2.0 ** -65, 2.0 ** -70, -3e-30, 5e-324, 2.2e-308,           # e > 64
+    0.5, SQRT2, -SQRT2, 1 / 3])
+big_ints = st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                     st.integers(2 ** 64 - 3, 2 ** 64 + 3),
+                     st.integers(-2 ** 200, 2 ** 200))
+
+
+class TestFracKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(doubles, edge_doubles), big_ints)
+    def test_matches_frac_mul_on_integers(self, a, n):
+        # a constant polynomial evaluates to n at every argument
+        got = _fracs([[a]], [IntPoly([n])], np.array([2, 3]))
+        assert got.tolist() == [[frac_mul(a, n) % 1.0] * 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.one_of(doubles, edge_doubles),
+                             min_size=2, max_size=2), min_size=1, max_size=3),
+           st.lists(big_ints, min_size=1, max_size=4),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+           st.lists(st.integers(1, 10 ** 9), min_size=1, max_size=20))
+    def test_matches_term_by_term_loop(self, A, low, cs, xs):
+        # h_1 has huge coefficients, h_2 a high degree: both wrap mod 2^64
+        hs = [IntPoly(low + [1]), IntPoly(cs + [7]) ** 3]
+        got = _fracs(A, hs, np.array(xs))
+        for row, sums in zip(A, got.tolist()):
+            want = []
+            for x in xs:
+                acc = 0.0
+                for a, h in zip(row, hs):
+                    if a:
+                        acc += frac_mul(a, h.eval(x))
+                want.append(acc % 1.0)
+            assert sums == want
+
+    def test_frac_mul_is_correctly_rounded(self):
+        # the oracle of the kernel tests against exact rationals
+        for a, n in ((SQRT2, 3 ** 80), (2.0 ** -70, 2 ** 71 + 1),
+                     ((2 ** 53 - 1) * 2.0 ** -64, 2 ** 64 - 1), (-0.1, -7)):
+            assert frac_mul(a, n) == float(Fraction(a) * n % 1)
 
 
 class TestWeylBound:
@@ -287,15 +343,46 @@ class TestSearchMinFrac:
         with pytest.raises(ValueError, match="no prime"):
             search_min_frac([X], [[0.3]], 2, progression=(7, 6))
 
-    def test_parallel_matches_serial(self):
-        hs = [X ** 2]
-        A = [[SQRT2]]
-        serial = search_min_frac(hs, A, 2000)
-        par = search_min_frac(hs, A, 2000, jobs=2)
-        assert serial == par
+    def test_segment_boundaries_match_single_segment(self, monkeypatch):
+        hs = [X ** 2, X - 7]
+        A = [[SQRT2, 0.3], [1e-30, SQRT2]]
+        Ns = [100, 700, 1500, 2000]
+        runs = []
+        for segment in (arith.SEGMENT, 64, 101):
+            monkeypatch.setattr(arith, "SEGMENT", segment)
+            runs.append([search_min_frac(hs, A, 2000),
+                         search_min_frac(hs, A, 2000, progression=(6, -1)),
+                         theta_fit(hs, A, Ns).points,
+                         theta_fit(hs, A, Ns, progression=(10, 3)).points,
+                         sieve_primes(2000, (4, 1)),
+                         # every prime ties at 1/4: the smallest must win
+                         search_min_frac([X ** 2], [[0.25]], 2000, (4, 1)).p])
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][-1] == 5
 
 
 class TestThetaFit:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-9, 9), min_size=2, max_size=4),
+           st.lists(st.floats(-4, 4), min_size=1, max_size=2),
+           st.lists(st.integers(2, 3000), min_size=3, max_size=5, unique=True),
+           st.sampled_from([None, (4, 1), (6, -1), (10, 7)]))
+    def test_points_equal_separate_searches(self, cs, row, Ns, prog):
+        hs = [IntPoly(cs), X ** 3][:len(row)]
+        Ns = sorted(Ns)
+        try:
+            searches = [(n, search_min_frac(hs, [row], n, prog).max_frac)
+                        for n in Ns]
+        except ValueError:  # no prime below the first bound in the class
+            with pytest.raises(ValueError, match="no prime"):
+                theta_fit(hs, [row], Ns, prog)
+            return
+        if any(mf == 0.0 for _, mf in searches):
+            with pytest.raises(ValueError, match="degenerate"):
+                theta_fit(hs, [row], Ns, prog)
+            return
+        assert list(theta_fit(hs, [row], Ns, prog).points) == searches
+
     def test_degenerate_zero_minima(self):
         with pytest.raises(ValueError, match="degenerate"):
             theta_fit([X], [[1.0]], [16, 32, 64])

@@ -6,12 +6,15 @@ instead (helpers.scan_roots) and take discriminants and squarefree parts
 from sympy.
 """
 
+import time
+import tracemalloc
+
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intersective import IntPoly, check_intersective, primes_upto
+from intersective import IntPoly, arith, check_intersective, primes_upto
 from intersective.cli import main
 from intersective.modroots import first_rootless_prime
 
@@ -114,6 +117,22 @@ class TestCheckAgainstBruteForce:
         assert v.prime == want
         assert v.certified == (want is None)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=3),
+           st.sampled_from(["first", "second"]))
+    def test_scan_across_sieve_segments(self, a, kind):
+        # segments of three integers put almost every failing prime past
+        # the first segment
+        P = IntPoly((1,))
+        for ai in a:
+            P = P * (X ** 2 - ai)
+        want = check_intersective(P, kind, 500)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "SEGMENT", 3)
+            got = check_intersective(P, kind, 500)
+        assert (got.status, got.prime, got.reason) == \
+            (want.status, want.prime, want.reason)
+
     def test_nonmonic_leading_primes_are_ramified(self):
         # 3 and 5 divide the leading coefficient; they must be certified
         # p-adically and never reach the scan
@@ -134,3 +153,22 @@ class TestCheckCli:
     def test_huge_bound_exit_2(self, capsys):
         assert main(["check", "--bound", str(2 ** 31), "x-1"]) == 2
         assert "2^31" in capsys.readouterr().err
+
+    def test_largest_bound_stops_at_first_failing_segment(self, capsys):
+        # 5 is unramified and neither 33 nor 97 is a square mod 5; the scan
+        # sieves one segment at a time, so neither time nor memory follows
+        # the bound
+        argv = ["check", "--kind", "first", "--bound", str(2 ** 31 - 1),
+                "(x^2-33)*(x^2-97)"]
+        t0 = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - t0
+        assert code == 1 and elapsed < 1.0
+        assert '"prime": 5' in capsys.readouterr().out
+        tracemalloc.start()
+        try:
+            assert main(argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20

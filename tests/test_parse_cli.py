@@ -274,3 +274,25 @@ class TestCli:
         code, _, err = run_cli(capsys, "montgomery", "--xs", "[1e400]",
                                "--cs", "[1.0]", "--M", "4")
         assert code == 2 and "--xs" in err
+
+    def test_expsum_nested_coefficients_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "expsum", "--N", "10", "--f", "[[1]]")
+        assert code == 2 and "--f" in err
+
+    def test_expsum_scalar_coefficients_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "expsum", "--N", "10", "--f", "5")
+        assert code == 2 and "--f" in err
+
+    def test_unexpected_exception_exit_3(self, capsys, monkeypatch):
+        # exit 1 claims a conclusive negative verdict, so a crash must not
+        # produce it
+        import intersective.diophantine as dio
+
+        def boom(*args):
+            raise TypeError("unexpected")
+
+        monkeypatch.setattr(dio, "weyl_bound_eval", boom)
+        code, out, err = run_cli(capsys, "weyl-bound", "--k", "2", "--q", "9",
+                                 "--N", "9")
+        assert code == 3 and out == ""
+        assert err == "internal error: TypeError: unexpected\n"
