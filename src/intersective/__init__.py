@@ -37,7 +37,6 @@ from .diophantine import (
     weyl_bound_eval,
 )
 from .modroots import (
-    CertificationInconclusive,
     PadicRoot,
     certify_padic_root,
     first_rootless_prime,
@@ -46,7 +45,7 @@ from .modroots import (
     roots_mod_p,
     roots_mod_q,
 )
-from .parse import ParseError, PolyExpr, parse_poly
+from .parse import ParseError, parse_poly
 from .polys import (
     NEG_INF,
     IntMatrix,

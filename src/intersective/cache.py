@@ -9,17 +9,22 @@ text file, one entry per line:
     <poly-hash> <p> <k> <r> <0|1>
 
 Later lines for the same (poly-hash, p) pair supersede earlier ones at
-higher precision. Access within a process is expected to be single-writer.
+higher precision. Lines of any other shape, such as one torn by an
+interrupted write, are skipped on load. Access within a process is expected
+to be single-writer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 from pathlib import Path
 
 from .modroots import PadicRoot
 from .polys import IntPoly
+
+_LINE = re.compile(r"([0-9a-f]+) (\d+) (\d+) (\d+) ([01])")
 
 
 def poly_key(P: IntPoly) -> str:
@@ -39,10 +44,10 @@ class RootCache:
 
     def _load(self) -> None:
         for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
+            m = _LINE.fullmatch(line.strip())
+            if m is None:
                 continue
-            key, p, k, r, unit = line.split()
+            key, p, k, r, unit = m.groups()
             self._mem[(key, int(p))] = (int(k), int(r), unit == "1")
 
     def get(self, P: IntPoly, p: int) -> PadicRoot | None:

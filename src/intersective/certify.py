@@ -19,8 +19,8 @@ from math import gcd
 from .arith import crt_pair, factorize, prime_segments, valuation
 from .cache import RootCache
 from .modroots import (SCAN_PRIME_LIMIT, PadicRoot, certify_padic_root,
-                       first_rootless_prime, newton_lift)
-from .polys import IntPoly, gcd_primitive, resultant, squarefree_part
+                       first_rootless_prime, newton_lift, squarefree_disc)
+from .polys import IntPoly, gcd_primitive, squarefree_part
 
 DEFAULT_SCAN_BOUND = 10_000
 
@@ -66,8 +66,7 @@ def _fails(kind, bound, prime, reason, witnesses, content) -> IntersectivityVerd
 
 
 def check_intersective(P: IntPoly, kind: str = "second",
-                       bound: int = DEFAULT_SCAN_BOUND, *,
-                       seed: int = 0) -> IntersectivityVerdict:
+                       bound: int = DEFAULT_SCAN_BOUND) -> IntersectivityVerdict:
     """Certify P as intersective of the given kind, scanning primes <= bound.
 
     Ramified primes are decided exactly by the p-adic criterion; unramified
@@ -84,8 +83,7 @@ def check_intersective(P: IntPoly, kind: str = "second",
         raise ValueError("scan bound must be below 2^31")
     content = P.content()
     P0 = P.primitive()
-    pstar = squarefree_part(P0)
-    D = abs(resultant(pstar, pstar.derivative()))
+    pstar, D = squarefree_disc(P0)
     ramified = set(factorize(D)) if D > 1 else set()
     scan_poly = pstar
     if kind == "second":
@@ -99,7 +97,7 @@ def check_intersective(P: IntPoly, kind: str = "second",
 
     witnesses: dict[int, PadicRoot] = {}
     for p in sorted(ramified):
-        root = certify_padic_root(P0, p, kind, seed=seed)
+        root = certify_padic_root(P0, p, kind)
         if root is None:
             beta = valuation(D, p)
             need = "unit root" if kind == "second" else "root"
@@ -123,8 +121,8 @@ def check_intersective(P: IntPoly, kind: str = "second",
                                  content_removed=content)
 
 
-def check_joint(hs, kind: str = "second", bound: int = DEFAULT_SCAN_BOUND, *,
-                seed: int = 0) -> IntersectivityVerdict:
+def check_joint(hs, kind: str = "second",
+                bound: int = DEFAULT_SCAN_BOUND) -> IntersectivityVerdict:
     """Joint intersectivity of a family, equivalent to that of its gcd."""
     hs = list(hs)
     if not hs:
@@ -132,11 +130,11 @@ def check_joint(hs, kind: str = "second", bound: int = DEFAULT_SCAN_BOUND, *,
     g = gcd_primitive(hs)
     if g.degree < 1:
         return _fails(kind, bound, 2, "gcd is constant", {}, 1)
-    return check_intersective(g, kind, bound, seed=seed)
+    return check_intersective(g, kind, bound)
 
 
-def check_theorem_condition(hs, l: int, bound: int = DEFAULT_SCAN_BOUND, *,
-                            seed: int = 0) -> IntersectivityVerdict:
+def check_theorem_condition(hs, l: int,
+                            bound: int = DEFAULT_SCAN_BOUND) -> IntersectivityVerdict:
     """Check the linear-combination condition behind the prime-variable
     simultaneous approximation bound.
 
@@ -148,7 +146,7 @@ def check_theorem_condition(hs, l: int, bound: int = DEFAULT_SCAN_BOUND, *,
     """
     if l < 1:
         raise ValueError("l must be a positive integer")
-    verdict = check_joint(hs, "second", bound, seed=seed)
+    verdict = check_joint(hs, "second", bound)
     if l == 1:
         verdict.note = ("sufficient only: for l = 1 the condition quantifies "
                         "over all integer combinations and a failed gcd check "
@@ -175,8 +173,7 @@ def _squarefree_gcd(hs: tuple[IntPoly, ...]) -> IntPoly:
     return squarefree_part(g) if g.degree >= 1 else g
 
 
-def make_rd(hs, d: int, cache: RootCache | None = None, *,
-            seed: int = 0) -> RdRecord:
+def make_rd(hs, d: int, cache: RootCache | None = None) -> RdRecord:
     """Construct the canonical residue r_d for a jointly second-kind family.
 
     The prime factorization of d is certified on demand: each prime gets the
@@ -199,7 +196,7 @@ def make_rd(hs, d: int, cache: RootCache | None = None, *,
                                            "gcd of the family is constant")
         root = cache.get(gstar, p)
         if root is None:
-            root = certify_padic_root(gstar, p, "second", seed=seed)
+            root = certify_padic_root(gstar, p, "second")
             if root is None:
                 raise NoSecondKindRootError(
                     p, f"family has no second-kind root at prime {p}")

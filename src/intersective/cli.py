@@ -1,8 +1,8 @@
 """Command-line surface: certification, residues, searches, and sums.
 
 Exit codes: 0 on success, 1 on a conclusive negative verdict (a failed
-certification, an empty certificate), 2 on usage or parse errors, 3 when a
-certification is inconclusive or an unexpected internal error occurs.
+certification, an empty certificate), 2 on usage or parse errors, 3 when an
+unexpected internal error occurs.
 
 JSON is the default output format; --format csv switches every command to a
 flat header+rows rendering with a fixed column set per command. Arbitrarily
@@ -23,9 +23,7 @@ from pathlib import Path
 from . import certify as certify_mod
 from . import diophantine as dio
 from .cache import RootCache
-from .modroots import (CertificationInconclusive, PadicRoot,
-                       certify_padic_root, lift_roots, roots_mod_p,
-                       roots_mod_q)
+from .modroots import PadicRoot, certify_padic_root, lift_roots, roots_mod_q
 from .parse import ParseError, parse_poly
 from .polys import delta_factored, distinct_degree_basis, nice_transform
 
@@ -125,10 +123,7 @@ def _cmd_roots(args) -> int:
         rs = sorted(roots_mod_q(P, args.q, coprime_only=args.coprime))
         modulus = args.q
     elif args.p is not None:
-        if args.k > 1:
-            rs = sorted(lift_roots(P, args.p, args.k))
-        else:
-            rs = sorted(roots_mod_p(P, args.p, seed=args.seed))
+        rs = sorted(lift_roots(P, args.p, args.k))
         modulus = args.p ** args.k
     else:
         raise ValueError("need --p (with optional --k) or --q")
@@ -139,7 +134,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_certify(args) -> int:
     P = parse_poly(args.poly)
-    root = certify_padic_root(P, args.p, args.kind, seed=args.seed)
+    root = certify_padic_root(P, args.p, args.kind)
     if root is None:
         _emit(args, {"found": False, "p": args.p, "kind": args.kind},
               (["found", "p", "k", "r", "unit"],
@@ -161,22 +156,21 @@ def _verdict_csv(v) -> tuple[list[str], list[list]]:
 
 def _cmd_check(args) -> int:
     P = parse_poly(args.poly)
-    v = certify_mod.check_intersective(P, args.kind, args.bound, seed=args.seed)
+    v = certify_mod.check_intersective(P, args.kind, args.bound)
     _emit(args, _verdict_obj(v), _verdict_csv(v))
     return 0 if v.certified else 1
 
 
 def _cmd_joint(args) -> int:
     hs = [parse_poly(s) for s in args.polys]
-    v = certify_mod.check_joint(hs, args.kind, args.bound, seed=args.seed)
+    v = certify_mod.check_joint(hs, args.kind, args.bound)
     _emit(args, _verdict_obj(v), _verdict_csv(v))
     return 0 if v.certified else 1
 
 
 def _cmd_condition(args) -> int:
     hs = [parse_poly(s) for s in args.polys]
-    v = certify_mod.check_theorem_condition(hs, args.l, args.bound,
-                                            seed=args.seed)
+    v = certify_mod.check_theorem_condition(hs, args.l, args.bound)
     _emit(args, _verdict_obj(v), _verdict_csv(v))
     return 0 if v.certified else 1
 
@@ -184,7 +178,7 @@ def _cmd_condition(args) -> int:
 def _cmd_rd(args) -> int:
     hs = [parse_poly(s) for s in args.polys]
     cache = RootCache(args.cache if args.cache else default_cache_path())
-    rec = certify_mod.make_rd(hs, args.d, cache, seed=args.seed)
+    rec = certify_mod.make_rd(hs, args.d, cache)
     obj = {"d": rec.d, "r_d": rec.r_d,
            "roots": [_witness_obj(rec.roots[p]) for p in sorted(rec.roots)]}
     _emit(args, obj, (["d", "r_d"], [[rec.d, rec.r_d]]))
@@ -252,7 +246,7 @@ def _search_progression(args, hs):
     if args.r is not None:
         return (args.d, args.r)
     cache = RootCache(args.cache if args.cache else default_cache_path())
-    rec = certify_mod.make_rd(hs, args.d, cache, seed=args.seed)
+    rec = certify_mod.make_rd(hs, args.d, cache)
     return (args.d, rec.r_d)
 
 
@@ -301,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
         return p
 
     p = add("delta", _cmd_delta, help="product of resultants Res(h, h') over "
@@ -411,9 +404,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except CertificationInconclusive as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
     except certify_mod.NoSecondKindRootError as exc:
         print(f"conclusive failure: {exc}", file=sys.stderr)
         return 1

@@ -23,10 +23,6 @@ from .polys import IntPoly, resultant, squarefree_part
 DEFAULT_SCAN_LIMIT = 100_000
 
 
-class CertificationInconclusive(RuntimeError):
-    """Branch lifting hit its depth limit before reaching a Newton witness."""
-
-
 @dataclass(frozen=True)
 class PadicRoot:
     """A residue r mod p^k certified as an approximate p-adic root.
@@ -56,13 +52,11 @@ class PadicRoot:
         return cls(p=p, k=k, r=r, unit=(r % p != 0), slack=slack)
 
 
-def roots_mod_p(P: IntPoly, p: int, *, scan_limit: int = DEFAULT_SCAN_LIMIT,
-                seed: int = 0) -> set[int]:
+def roots_mod_p(P: IntPoly, p: int) -> set[int]:
     """Exact set of roots of P mod p.
 
-    Small p use a direct scan; larger p use gcd with x^p - x followed by
-    randomized degree-1 splitting. The returned set does not depend on the
-    seed (it only steers the splitting order).
+    p up to DEFAULT_SCAN_LIMIT use a direct scan of all residues; larger p
+    use gcd with x^p - x followed by randomized degree-1 splitting.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -73,23 +67,14 @@ def roots_mod_p(P: IntPoly, p: int, *, scan_limit: int = DEFAULT_SCAN_LIMIT,
         return set(range(p))
     if len(cs) == 1:
         return set()
-    if p <= max(scan_limit, 3):
-        if p < 64:
-            acc_roots = set()
-            for x in range(p):
-                acc = 0
-                for c in reversed(cs):
-                    acc = (acc * x + c) % p
-                if acc == 0:
-                    acc_roots.add(x)
-            return acc_roots
+    if p <= DEFAULT_SCAN_LIMIT:
         # modular Horner over all residues at once (p * p fits in int64)
         xs = np.arange(p, dtype=np.int64)
         acc = np.zeros(p, dtype=np.int64)
         for c in reversed(cs):
             acc = (acc * xs + c) % p
         return set(np.flatnonzero(acc == 0).tolist())
-    return _roots_cz(cs, p, seed)
+    return _roots_cz(cs, p)
 
 
 # -- dense polynomial arithmetic over F_p (ascending coefficient lists) -----
@@ -145,7 +130,7 @@ def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     return result
 
 
-def _roots_cz(cs: list[int], p: int, seed: int) -> set[int]:
+def _roots_cz(cs: list[int], p: int) -> set[int]:
     """Roots of a nonzero polynomial mod an odd prime by equal-degree splitting."""
     roots: set[int] = set()
     f = cs[:]
@@ -162,7 +147,7 @@ def _roots_cz(cs: list[int], p: int, seed: int) -> set[int]:
     g = _pgcd(f, _ptrim(xp_minus_x), p)
     if len(g) <= 1:
         return roots
-    rng = random.Random(seed)
+    rng = random.Random(0)
     stack = [g]
     while stack:
         h = stack.pop()
@@ -373,9 +358,18 @@ def newton_lift(P: IntPoly, root: PadicRoot, k2: int) -> PadicRoot:
 # -- certification -----------------------------------------------------------
 
 
-def certify_padic_root(P: IntPoly, p: int, kind: str = "second", *,
-                       seed: int = 0,
-                       extra_depth: int | None = None) -> PadicRoot | None:
+@functools.lru_cache(maxsize=64)
+def squarefree_disc(P: IntPoly) -> tuple[IntPoly, int]:
+    """The primitive squarefree part P* of P and D = |Res(P*, P*')|, with
+    D = 1 when P* is constant."""
+    pstar = squarefree_part(P)
+    if pstar.degree < 1:
+        return pstar, 1
+    return pstar, abs(resultant(pstar, pstar.derivative()))
+
+
+def certify_padic_root(P: IntPoly, p: int,
+                       kind: str = "second") -> PadicRoot | None:
     """Decide whether P has a root in the p-adic integers (a unit root for
     kind="second") and return a canonical Newton-liftable witness.
 
@@ -393,26 +387,19 @@ def certify_padic_root(P: IntPoly, p: int, kind: str = "second", *,
         raise ValueError(f"{p} is not prime")
     if P.is_zero:
         raise ValueError("cannot certify the zero polynomial")
-    pstar = squarefree_part(P)
-    if pstar.degree < 1:
+    pstar, D = squarefree_disc(P)
+    level = 2 * valuation(D, p) + 1
+    cands = lift_roots(pstar, p, level)
+    if kind == "second":
+        cands = {r for r in cands if r % p}
+    if not cands:
         return None
-    D = abs(resultant(pstar, pstar.derivative()))
-    beta = valuation(D, p) if D else 0
-    level = 2 * beta + 1
-    limit = extra_depth if extra_depth is not None else 4 * (beta + 1)
-
-    for _ in range(limit + 1):
-        cands = sorted(lift_roots(pstar, p, level))
-        if kind == "second":
-            cands = [r for r in cands if r % p != 0]
-        if not cands and level == 2 * beta + 1:
-            return None
-        for r in cands:  # increasing, so the first slack-bearing root is the least
-            root = PadicRoot.for_poly(pstar, p, level, r)
-            if root.slack is not None:
-                return _stabilize(pstar, root)
-        level += 1
-    raise CertificationInconclusive(f"certification inconclusive at {p}")
+    # D = u*P* + v*P*' with u, v in Z[x], so v_p(P*'(r)) <= beta at every
+    # root r mod p^(2*beta + 1): each candidate is Newton-liftable
+    root = PadicRoot.for_poly(pstar, p, level, min(cands))
+    if root.slack is None:
+        raise ArithmeticError(f"root {root.r} mod {p}^{level} has no slack")
+    return _stabilize(pstar, root)
 
 
 def _stabilize(P: IntPoly, root: PadicRoot) -> PadicRoot:

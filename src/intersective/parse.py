@@ -3,32 +3,22 @@
 Grammar: integer literals, x, binary + - *, ^ with a nonnegative integer
 literal exponent (at most 64), parentheses, and a leading unary minus at the
 start of any (sub)expression. Products are expanded exactly, so parsing is a
-fixed point on the canonical printed form of a polynomial.
+fixed point on the canonical printed form of a polynomial. A product or power
+whose degree would exceed MAX_DEGREE is rejected before it is expanded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .polys import IntPoly
 
 MAX_EXPONENT = 64
+MAX_DEGREE = 1024
 
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.position = position
-
-
-@dataclass(frozen=True)
-class PolyExpr:
-    source: str
-    poly: IntPoly
-
-    @classmethod
-    def parse(cls, text: str) -> "PolyExpr":
-        return cls(source=text, poly=parse_poly(text))
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -89,8 +79,11 @@ class _Parser:
     def term(self) -> IntPoly:
         acc = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            acc = acc * self.factor()
+            _, _, pos = self.take()
+            rhs = self.factor()
+            if acc.degree + rhs.degree > MAX_DEGREE:
+                raise ParseError(f"degree exceeds {MAX_DEGREE}", pos)
+            acc = acc * rhs
         return acc
 
     def factor(self) -> IntPoly:
@@ -103,6 +96,8 @@ class _Parser:
             self.take()
             if value > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", vpos)
+            if base.degree * value > MAX_DEGREE:
+                raise ParseError(f"degree exceeds {MAX_DEGREE}", pos)
             return base ** value
         return base
 

@@ -233,45 +233,30 @@ class NiceSystem:
 # division helpers
 
 
-def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder: lead(b)^(deg a - deg b + 1) * a = q*b + result."""
+def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """Pseudo-division: lead(b)^(deg a - deg b + 1) * a = q*b + r, with
+    deg r < deg b."""
     if b.is_zero:
         raise ZeroDivisionError("pseudo-division by zero polynomial")
-    da, db = a.degree, b.degree
-    if da < db:
+    n = a.degree - b.degree + 1
+    if n < 1:
         raise ValueError("pseudo-division needs deg a >= deg b")
-    lb = b.lead
-    r = a
-    steps = da - db + 1
-    while not r.is_zero and r.degree >= db:
-        shift = r.degree - db
-        r = r * lb - IntPoly.monomial(r.lead, shift) * b
-        steps -= 1
-    if steps > 0:
-        r = r * (lb ** steps)
-    return r
+    lb, low = b.lead, b.coeffs[:-1]
+    r = list(a.coeffs)
+    q = [0] * n
+    for k in range(n - 1, -1, -1):
+        # r <- lb*r - c*x^k*b cancels the leading coefficient c of r
+        c = r.pop()
+        q[k] = c * lb ** k
+        r = [lb * x for x in r]
+        for i, y in enumerate(low):
+            r[k + i] -= c * y
+    return IntPoly(q), IntPoly(r)
 
 
-def _divmod_frac(a: IntPoly, b: IntPoly) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of a by b over the rationals."""
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = [Fraction(c) for c in a.coeffs]
-    quo = [Fraction(0)] * max(len(a.coeffs) - len(b.coeffs) + 1, 1)
-    bl = Fraction(b.lead)
-    db = len(b.coeffs) - 1
-    while len(rem) - 1 >= db and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        shift = len(rem) - 1 - db
-        f = rem[-1] / bl
-        quo[shift] = f
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= f * c
-        rem.pop()
-    return quo, rem
+def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Pseudo-remainder: lead(b)^(deg a - deg b + 1) * a = q*b + result."""
+    return _pseudo_divmod(a, b)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +366,12 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     if g.degree == 0:
         out = pp
     else:
-        out = _quotient_primitive(pp, g)
+        out, rem = _pseudo_divmod(pp, g)
+        if not rem.is_zero:
+            raise ValueError("inexact polynomial division")
     if out.lead < 0:
         out = -out
     return out.primitive()
-
-
-def _quotient_primitive(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive part of the exact rational quotient a / b."""
-    quo, rem = _divmod_frac(a, b)
-    if any(rem):
-        raise ValueError("inexact polynomial division")
-    den = math.lcm(*(f.denominator for f in quo))
-    ints = [int(f * den) for f in quo]
-    return IntPoly(ints).primitive()
 
 
 def delta_factored(factors) -> int:

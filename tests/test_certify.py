@@ -228,6 +228,17 @@ class TestRootCache:
         with pytest.raises(ValueError, match="residue class"):
             cache.put(P, 19, PadicRoot.for_poly(P, 19, 4, _lift_to(P, 11, 4)))
 
+    def test_malformed_lines_skipped(self, tmp_path):
+        path = tmp_path / "roots.txt"
+        ds = (3, 9, 57, 171, 361)
+        want = {d: make_rd([P_CUBIC], d, RootCache(path)).r_d for d in ds}
+        valid = path.read_text()
+        torn = valid.splitlines()[-1][:-3]
+        path.write_text(valid + "deadbeef 19 1\n" + "not a cache line\n"
+                        + "abc 19 x 7 1\n" + torn + "\n")
+        cache = RootCache(path)
+        assert {d: make_rd([P_CUBIC], d, cache).r_d for d in ds} == want
+
     def test_memory_only_cache(self):
         cache = RootCache()
         rec = make_rd([P_CUBIC], 19, cache)

@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from intersective import (
-    CertificationInconclusive,
     IntPoly,
     PadicRoot,
     certify_padic_root,
@@ -12,7 +14,9 @@ from intersective import (
     newton_lift,
     roots_mod_p,
     roots_mod_q,
+    valuation,
 )
+from intersective.modroots import _roots_cz, squarefree_disc
 
 from helpers import random_intpoly, scan_roots
 
@@ -36,20 +40,17 @@ class TestRootsModP:
         assert roots_mod_p(5 * X + 5, 5) == {0, 1, 2, 3, 4}
 
     def test_splitting_path_matches_scan(self):
-        # force the gcd/splitting path with a tiny scan limit
+        # these p are below the scan limit, so roots_mod_p scans
         rng = random.Random(99)
         for p in (101, 211, 1009):
             for _ in range(20):
                 f = random_intpoly(rng, 5, 30)
-                got = roots_mod_p(f, p, scan_limit=4)
-                want = roots_mod_p(f, p)  # default: direct scan
-                assert got == want
+                assert _roots_cz([c % p for c in f.coeffs], p) == roots_mod_p(f, p)
 
-    def test_splitting_result_seed_independent(self):
+    def test_splitting_result_deterministic(self):
+        # 100003 is above the scan limit and 3 mod 4, so x^2 + 1 has no root
         f = (X - 3) * (X - 70) * (X - 1000) * (X ** 2 + 1)
-        for seed in (0, 1, 17):
-            assert roots_mod_p(f, 100003, scan_limit=4, seed=seed) == \
-                roots_mod_p(f, 100003, scan_limit=4, seed=0)
+        assert roots_mod_p(f, 100003) == roots_mod_p(f, 100003) == {3, 70, 1000}
 
 
 class TestLiftRoots:
@@ -211,8 +212,36 @@ class TestCertify:
         with pytest.raises(ValueError, match="not prime"):
             certify_padic_root(X, 10)
 
-    def test_depth_limit_surfaces_inconclusive(self):
-        with pytest.raises(CertificationInconclusive):
-            # zero extra depth with a contrived always-reject filter cannot
-            # happen through the public API, so drive the guard directly:
-            certify_padic_root(X ** 2 - 17, 2, "second", extra_depth=-1)
+
+small_polys = st.builds(lambda low, lead: IntPoly(low + [lead]),
+                        st.lists(st.integers(-12, 12), min_size=1, max_size=4),
+                        st.integers(-6, 6).filter(bool))
+small_primes = st.sampled_from([2, 3, 5, 7, 11])
+
+
+class TestDecisionLevel:
+    """Level 2*beta + 1, with p^beta exactly dividing D = |Res(P*, P*')|,
+    decides certification on its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_polys, small_primes)
+    def test_every_root_at_decision_level_has_slack(self, P, p):
+        pstar, D = squarefree_disc(P)
+        level = 2 * valuation(D, p) + 1
+        for r in lift_roots(pstar, p, level):
+            assert PadicRoot.for_poly(pstar, p, level, r).slack is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_polys, small_primes, st.sampled_from(["first", "second"]))
+    def test_none_matches_brute_force_scan(self, P, p, kind):
+        # P* and D from sympy, roots by evaluating P* at every residue
+        x = sympy.symbols("x")
+        pstar = sympy.Poly(list(reversed(P.coeffs)), x).sqf_part()
+        D = abs(int(sympy.resultant(pstar, pstar.diff(x))))
+        modulus = p ** (2 * sympy.multiplicity(p, D) + 1)
+        assume(modulus <= 10 ** 6)
+        found = scan_roots(IntPoly([int(c) for c in reversed(pstar.all_coeffs())]),
+                           modulus)
+        if kind == "second":
+            found = [r for r in found if r % p]
+        assert (certify_padic_root(P, p, kind) is None) == (not found)

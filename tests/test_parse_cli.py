@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from intersective import IntPoly, ParseError, PolyExpr, parse_poly
+from intersective import IntPoly, ParseError, parse_poly
 from intersective.cli import main
 
 X = IntPoly.x()
@@ -60,10 +60,11 @@ class TestParsePoly:
             assert again == p
             assert str(again) == text
 
-    def test_polyexpr_carries_source(self):
-        pe = PolyExpr.parse("x^2 + x + 1")
-        assert pe.source == "x^2 + x + 1"
-        assert pe.poly == X ** 2 + X + 1
+    def test_degree_beyond_cap_rejected(self):
+        assert parse_poly("(x^32)^32").degree == 1024
+        for text in ("((x+1)^64)^64", "(x^64)^16*x"):
+            with pytest.raises(ParseError, match="exceeds 1024"):
+                parse_poly(text)
 
 
 def run_cli(capsys, *argv):
@@ -162,18 +163,6 @@ class TestCli:
 
     def test_usage_error_exit_2(self, capsys):
         assert main(["not-a-command"]) == 2
-
-    def test_inconclusive_exit_3(self, capsys, monkeypatch):
-        from intersective import CertificationInconclusive
-        from intersective import cli as cli_mod
-
-        def boom(*args, **kwargs):
-            raise CertificationInconclusive("certification inconclusive at 7")
-
-        monkeypatch.setattr(cli_mod, "certify_padic_root", boom)
-        code, _, err = run_cli(capsys, "certify", "--p", "7", "x^2-2")
-        assert code == 3
-        assert "inconclusive" in err
 
     def test_primes_csv(self, capsys):
         code, out, _ = run_cli(capsys, "primes", "--N", "20", "--format", "csv")
@@ -296,3 +285,20 @@ class TestCli:
                                  "--N", "9")
         assert code == 3 and out == ""
         assert err == "internal error: TypeError: unexpected\n"
+
+    def test_roots_precision_below_one_exit_2(self, capsys):
+        for k in ("0", "-1"):
+            code, out, err = run_cli(capsys, "roots", "--p", "5", "--k", k, "x-3")
+            assert code == 2 and out == ""
+            assert "k must be >= 1" in err
+
+    def test_seed_option_removed(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "--seed", "1", "x")
+        assert code == 2 and out == ""
+
+    def test_rd_skips_torn_cache_lines(self, capsys, tmp_path):
+        cache = tmp_path / "roots.txt"
+        cache.write_text("deadbeef 19 1\n")
+        code, out, _ = run_cli(capsys, "rd", "--d", "3", "--cache", str(cache),
+                               "(x^3-19)*(x^2+x+1)")
+        assert code == 0 and json.loads(out)["r_d"] == -2
