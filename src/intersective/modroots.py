@@ -193,11 +193,13 @@ _BLOCK_FIRST, _BLOCK_CAP = 64, 1 << 13
 def first_rootless_prime(P: IntPoly, primes) -> int | None:
     """Smallest prime in primes at which P has no root mod p, or None.
 
-    P has a root mod p exactly when gcd(P, x^p - x) is nonconstant over F_p.
-    x^p mod P is computed for a whole block of primes at once (one int64
-    lane per prime, one square-and-multiply ladder for all lanes), then the
-    gcd is taken prime by prime in increasing order. Blocks grow from 64
-    primes up to a fixed cap, so an early failure stays cheap and memory
+    With f the monic reduction of P mod p and h = (x^p mod f) - x, P has a
+    root mod p exactly when gcd(f, h) != 1, that is when the resultant
+    Res(f, h) = det(multiplication by h on F_p[x]/(f)) vanishes mod p. The
+    whole test runs for a block of primes at once, one int64 lane per
+    prime: one square-and-multiply ladder gives x^p mod f, and row
+    elimination decides which lanes' matrices are singular. Blocks grow from
+    64 primes up to a fixed cap, so an early failure stays cheap and memory
     stays bounded. Every prime must be below 2^31 and must not divide the
     leading coefficient of P.
     """
@@ -207,54 +209,92 @@ def first_rootless_prime(P: IntPoly, primes) -> int | None:
     start, size = 0, _BLOCK_FIRST
     while start < len(primes):
         block = primes[start:start + size]
-        for p, f, xp in zip(block, *_frobenius_block(P, block)):
-            h = xp + [0] * (2 - len(xp))
-            h[1] = (h[1] - 1) % p
-            if len(_pgcd(f, _ptrim(h), p)) == 1:
-                return p
+        rootless = _rootless_lanes(P, block)
+        if rootless.any():
+            return block[int(np.argmax(rootless))]
         start += size
         size = min(4 * size, _BLOCK_CAP)
     return None
 
 
-def _frobenius_block(P: IntPoly, block: list[int]) -> tuple[list, list]:
-    """For each prime p of the block: the monic reduction f of P mod p and
-    x^p mod f, both as ascending coefficient lists."""
-    lcs = [P.lead % p for p in block]
-    if not all(lcs):
-        bad = block[lcs.index(0)]
-        raise ValueError(f"{bad} divides the leading coefficient of {P}")
+def _rootless_lanes(P: IntPoly, block: list[int]) -> np.ndarray:
+    """For each prime p of the block, whether P has no root mod p."""
     ps = np.array(block, dtype=np.int64)[:, None]
-    inv = np.array([pow(c, -1, p) for c, p in zip(lcs, block)], dtype=np.int64)
-    low = np.array([[c % p for c in P.coeffs[:-1]] for p in block],
-                   dtype=np.int64).reshape(len(block), len(P.coeffs) - 1)
-    low = low * inv[:, None] % ps  # f = x^n + sum_i low[:, i] x^i
+    lc = _lane_residues(P.lead, ps)
+    if not lc.all():
+        bad = block[int(np.argmin(lc))]
+        raise ValueError(f"{bad} divides the leading coefficient of {P}")
+    # a lane adds up to `period` products below p^2 to a residue before
+    # reducing, so its values stay below 2^63
+    pmax = int(ps.max())
+    period = max(1, (1 << 63) // pmax ** 2 - 1)
+    inv = np.ones_like(ps)  # lc^(p - 2), the inverse of lc mod p
+    for bit in reversed(range(pmax.bit_length())):
+        inv = inv * inv % ps
+        inv = np.where((ps - 2) >> bit & 1 == 1, inv * lc % ps, inv)
+    low = np.zeros((len(block), len(P.coeffs) - 1), dtype=np.int64)
+    for i, c in enumerate(P.coeffs[:-1]):
+        low[:, i:i + 1] = _lane_residues(c, ps) * inv % ps
+    # f = x^n + sum_i low[:, i] x^i is the monic reduction of P mod p
+    n, zero = low.shape[1], np.zeros_like(ps)
     acc = np.zeros_like(low)
     acc[:, :1] = 1
-    for bit in reversed(range(int(ps.max()).bit_length())):
-        acc = _lane_reduce(_lane_square(acc, ps), low, ps)
-        times_x = np.zeros((len(block), low.shape[1] + 1), dtype=np.int64)
-        times_x[:, 1:] = acc
-        acc = np.where((ps >> bit) & 1 == 1, _lane_reduce(times_x, low, ps), acc)
-    f = [row + [1] for row in low.tolist()]
-    return f, acc.tolist()
+    for bit in reversed(range(pmax.bit_length())):
+        acc = _lane_reduce(_lane_square(acc, ps, period), low, ps, period)
+        times_x = _lane_reduce(np.hstack((zero, acc)), low, ps, period)
+        acc = np.where((ps >> bit) & 1 == 1, times_x, acc)
+    # row i of m is x^i * h mod f, with h = x^p - x
+    row = np.zeros((len(block), max(n, 2)), dtype=np.int64)
+    row[:, :n] = acc
+    row[:, 1:2] = (row[:, 1:2] + ps - 1) % ps
+    m = np.empty((len(block), n, n), dtype=np.int64)
+    for i in range(n):
+        m[:, i] = _lane_reduce(row, low, ps, period)
+        row = np.hstack((zero, m[:, i]))
+    # elimination without inverses: row <- pivot * row - a * pivot_row keeps
+    # the rank, and a lane with no pivot in some column is singular
+    lanes = np.arange(len(block))
+    rootless = np.ones(len(block), dtype=bool)
+    for c in range(n):
+        piv = c + np.argmax(m[:, c:, c] != 0, axis=1)
+        rootless &= m[lanes, piv, c] != 0
+        m[lanes, c], m[lanes, piv] = m[lanes, piv], m[lanes, c]
+        for r in range(c + 1, n):
+            m[:, r, c:] = (m[:, c, c:c + 1] * m[:, r, c:]
+                           - m[:, r, c:c + 1] * m[:, c, c:]) % ps
+    return rootless
 
 
-def _lane_square(a: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Square of each lane's polynomial, reduced mod its prime per product."""
+def _lane_residues(c: int, ps: np.ndarray) -> np.ndarray:
+    """c mod each lane's prime, for any integer c, 31 bits at a time."""
+    acc = np.zeros_like(ps)
+    for shift in range(abs(c).bit_length() // 31 * 31, -1, -31):
+        acc = ((acc << 31) + (abs(c) >> shift & 0x7FFFFFFF)) % ps
+    return acc if c >= 0 else -acc % ps
+
+
+def _lane_square(a: np.ndarray, ps: np.ndarray, period: int) -> np.ndarray:
+    """Square of each lane's polynomial, reduced mod its prime."""
     n = a.shape[1]
     out = np.zeros((a.shape[0], max(2 * n - 1, 0)), dtype=np.int64)
     for i in range(n):
-        out[:, i:i + n] = (out[:, i:i + n] + a[:, i:i + 1] * a) % ps
+        out[:, i:i + n] += a[:, i:i + 1] * a
+        if (i + 1) % period == 0 or i == n - 1:
+            out %= ps
     return out
 
 
-def _lane_reduce(r: np.ndarray, low: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Remainder of each lane's polynomial r mod its monic x^n + low."""
+def _lane_reduce(r: np.ndarray, low: np.ndarray, ps: np.ndarray,
+                 period: int) -> np.ndarray:
+    """Remainder of each lane's polynomial r, whose entries lie in [0, p),
+    mod its monic x^n + low; r is overwritten."""
     n = low.shape[1]
-    for k in range(r.shape[1] - 1, n - 1, -1):
-        r[:, k - n:k] = (r[:, k - n:k] - r[:, k:k + 1] * low) % ps
-    return r[:, :n]
+    for j, k in enumerate(range(r.shape[1] - 1, n - 1, -1)):
+        r[:, k:k + 1] %= ps  # the top coefficient, before it multiplies low
+        r[:, k - n:k] -= r[:, k:k + 1] * low
+        if (j + 1) % period == 0:
+            r[:, k - n:k] %= ps
+    return r[:, :n] % ps
 
 
 # -- prime-power lifting -----------------------------------------------------
@@ -264,28 +304,27 @@ def lift_roots(P: IntPoly, p: int, k: int) -> set[int]:
     """Exact set of roots of P mod p^k, lifted level by level from mod p."""
     if k < 1:
         raise ValueError("precision k must be >= 1")
-    return set(_lift_cached(P, p, k))
+    levels = _lift_levels(P, p)
+    while len(levels) < k and levels[-1]:
+        pj = p ** len(levels)
+        dP = P.derivative()
+        out: list[int] = []
+        for r in levels[-1]:
+            fr = P.eval(r)
+            b = dP.eval(r) % p
+            if b:
+                t = (-(fr // pj) * pow(b, -1, p)) % p
+                out.append(r + t * pj)
+            elif fr % (pj * p) == 0:
+                out.extend(r + t * pj for t in range(p))
+        levels.append(frozenset(out))
+    return set(levels[k - 1]) if k <= len(levels) else set()
 
 
-@functools.lru_cache(maxsize=1 << 18)
-def _lift_cached(P: IntPoly, p: int, k: int) -> frozenset[int]:
-    if k == 1:
-        return frozenset(roots_mod_p(P, p))
-    prev = _lift_cached(P, p, k - 1)
-    if not prev:
-        return frozenset()
-    pj = p ** (k - 1)
-    dP = P.derivative()
-    out: list[int] = []
-    for r in prev:
-        fr = P.eval(r)
-        b = dP.eval(r) % p
-        if b:
-            t = (-(fr // pj) * pow(b, -1, p)) % p
-            out.append(r + t * pj)
-        elif fr % (pj * p) == 0:
-            out.extend(r + t * pj for t in range(p))
-    return frozenset(out)
+@functools.lru_cache(maxsize=1 << 16)
+def _lift_levels(P: IntPoly, p: int) -> list[frozenset[int]]:
+    """Roots of P mod p, p^2, ... as far as lift_roots has extended the list."""
+    return [frozenset(roots_mod_p(P, p))]
 
 
 def roots_mod_q(P: IntPoly, q: int, coprime_only: bool = False) -> set[int]:

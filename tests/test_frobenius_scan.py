@@ -1,22 +1,28 @@
 """The batched root-existence scan against brute-force residue scans.
 
-first_rootless_prime decides "P has a root mod p" through gcd(P, x^p - x)
-for whole blocks of primes; the oracles here evaluate P at every residue
-instead (helpers.scan_roots) and take discriminants and squarefree parts
-from sympy.
+first_rootless_prime decides "P has a root mod p" for whole blocks of
+primes at once: per int64 lane, the resultant of f = P mod p and
+h = (x^p mod f) - x vanishes exactly when gcd(f, h) != 1. The oracles here
+evaluate P at every residue instead (helpers.scan_roots), take
+discriminants and squarefree parts from sympy, take that gcd with the
+scalar F_p arithmetic of modroots, split with Cantor-Zassenhaus, and
+use Euler's criterion at primes just below 2^31.
 """
 
+import functools
+import random
 import time
 import tracemalloc
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intersective import IntPoly, arith, check_intersective, primes_upto
 from intersective.cli import main
-from intersective.modroots import first_rootless_prime
+from intersective.modroots import (_pgcd, _ppowmod, _ptrim, _rootless_lanes,
+                                   _roots_cz, first_rootless_prime)
 
 from helpers import scan_roots
 
@@ -172,3 +178,118 @@ class TestCheckCli:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+def gcd_verdicts(P: IntPoly, block) -> list[bool]:
+    """Per prime: gcd(f, x^p - x) == 1 over F_p, with f = P mod p made monic,
+    by the scalar F_p arithmetic."""
+    out = []
+    for p in block:
+        inv = pow(P.lead, -1, p)
+        f = [c * inv % p for c in P.coeffs]
+        h = _ppowmod([0, 1], p, f, p)
+        h = h + [0] * (2 - len(h))
+        h[1] = (h[1] - 1) % p
+        out.append(len(_pgcd(f, _ptrim(h), p)) == 1)
+    return out
+
+
+def primes_below(top: int, count: int) -> list[int]:
+    """The count largest primes below top."""
+    found = [int(p) for seg in arith.prime_segments(top - 40 * count, top - 1)
+             for p in seg]
+    return found[-count:]
+
+
+def lane_verdicts(P: IntPoly, block) -> list[bool]:
+    return _rootless_lanes(P, list(block)).tolist()
+
+
+# random polynomials of degree 0-12, and products of distinct linear factors,
+# which split completely mod every prime above their spread (h = 0 there)
+kernel_polys = st.one_of(
+    st.builds(lambda low, lead: IntPoly(low + [lead]),
+              st.lists(coefficients, max_size=12), coefficients.filter(bool)),
+    st.builds(lambda roots: IntPoly((1,)) if not roots else
+              functools.reduce(lambda a, b: a * b, [X - r for r in roots]),
+              st.sets(st.integers(-60, 60), max_size=12)))
+kernel_blocks = st.builds(lambda a, b: sorted(a | b),
+                          st.sets(st.sampled_from(SMALL_PRIMES), max_size=30),
+                          st.sets(st.sampled_from([2, 3, 5, 7, 11])))
+
+
+class TestLaneResultant:
+    """The per-lane verdict against the scalar gcd it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_polys, kernel_blocks)
+    def test_matches_scalar_gcd(self, P, block):
+        block = [p for p in block if P.lead % p]
+        assume(block)
+        assert lane_verdicts(P, block) == gcd_verdicts(P, block)
+
+    def test_split_polynomial_has_h_zero_and_roots(self):
+        # x^p - x vanishes mod f when f splits into distinct linear factors
+        P = functools.reduce(lambda a, b: a * b, [X - r for r in range(12)])
+        block = [p for p in SMALL_PRIMES if p > 12][:50]
+        assert gcd_verdicts(P, block) == [False] * len(block)
+        assert lane_verdicts(P, block) == [False] * len(block)
+
+    def test_primes_below_the_degree(self):
+        # F_p has fewer elements than f has roots over C; the verdicts still
+        # follow the residue scan
+        for P in (X ** 12 + X + 1, X ** 12 - 3 * X ** 5 + 7, X ** 11 + 2):
+            block = [p for p in (2, 3, 5, 7, 11) if P.lead % p]
+            want = [not scan_roots(P, p) for p in block]
+            assert lane_verdicts(P, block) == want
+
+
+class TestLanesNearTwoToThe31:
+    """One product per reduction: Euler's criterion decides each prime."""
+
+    BLOCK = primes_below(1 << 31, 400)
+
+    def test_block_is_near_the_limit(self):
+        assert len(self.BLOCK) == 400 and self.BLOCK[0] > (1 << 31) - 20000
+        assert self.BLOCK[-1] < (1 << 31)
+
+    def test_x2_plus_1(self):
+        assert lane_verdicts(X ** 2 + 1, self.BLOCK) == \
+            [p % 4 != 1 for p in self.BLOCK]
+
+    def test_x2_minus_2(self):
+        assert lane_verdicts(X ** 2 - 2, self.BLOCK) == \
+            [p % 8 not in (1, 7) for p in self.BLOCK]
+
+    def test_x3_minus_2(self):
+        assert lane_verdicts(X ** 3 - 2, self.BLOCK) == \
+            [p % 3 == 1 and pow(2, (p - 1) // 3, p) != 1 for p in self.BLOCK]
+
+    def test_first_rootless_prime_near_the_limit(self):
+        want = next(p for p in self.BLOCK if p % 4 == 3)
+        assert first_rootless_prime(X ** 2 + 1, self.BLOCK) == want
+
+
+def degree_40(seed: int) -> IntPoly:
+    rng = random.Random(seed)
+    return IntPoly([rng.randrange(-10 ** 6, 10 ** 6) for _ in range(40)] + [1])
+
+
+class TestDegree40:
+    """Lanes add up to 2^63 // p^2 - 1 products before reducing: about two
+    million near 2^21, so all of a square; 31 near 2^29 and 7 near 2^30,
+    fewer than the 40 products of a square or a reduction."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_near_2_21_against_cantor_zassenhaus(self, seed):
+        P = degree_40(seed)
+        block = primes_below(1 << 21, 12)
+        want = [not _roots_cz([c % p for c in P.coeffs], p) for p in block]
+        assert True in want and False in want
+        assert lane_verdicts(P, block) == want
+
+    @pytest.mark.parametrize("top", [1 << 29, 1 << 30])
+    def test_short_periods_against_scalar_gcd(self, top):
+        P = degree_40(top)
+        block = primes_below(top, 8)
+        assert lane_verdicts(P, block) == gcd_verdicts(P, block)

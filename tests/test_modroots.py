@@ -245,3 +245,21 @@ class TestDecisionLevel:
         if kind == "second":
             found = [r for r in found if r % p]
         assert (certify_padic_root(P, p, kind) is None) == (not found)
+
+
+class TestDeepLift:
+    def test_simple_root_at_level_2000_matches_newton(self):
+        P = X ** 2 + X + 1
+        base = PadicRoot.for_poly(P, 19, 1, 7)
+        rs = lift_roots(P, 19, 2000)
+        assert len(rs) == 2
+        over_7 = {r for r in rs if r % 19 == 7}
+        assert over_7 == {newton_lift(P, base, 2000).r}
+        # lower levels come from the same tower and stay coherent
+        assert {r % 19 ** 600 for r in rs} == lift_roots(P, 19, 600)
+
+    def test_tower_stops_where_roots_die(self):
+        # x^2 + 5 has the root 0 mod 5 and none mod 25
+        assert lift_roots(X ** 2 + 5, 5, 1) == {0}
+        assert lift_roots(X ** 2 + 5, 5, 10 ** 9) == set()
+        assert lift_roots(X ** 2 - 2, 5, 10 ** 9) == set()

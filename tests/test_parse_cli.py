@@ -302,3 +302,13 @@ class TestCli:
         code, out, _ = run_cli(capsys, "rd", "--d", "3", "--cache", str(cache),
                                "(x^3-19)*(x^2+x+1)")
         assert code == 0 and json.loads(out)["r_d"] == -2
+
+
+class TestDeepPrecisionCli:
+    # one lifting step per level: 600 levels once overflowed the stack
+    @pytest.mark.parametrize("modulus", [["--p", "5", "--k", "600"],
+                                         ["--q", str(5 ** 600)]])
+    def test_roots_mod_5_to_600(self, capsys, modulus):
+        code, out, _ = run_cli(capsys, "roots", *modulus, "x-3")
+        assert code == 0
+        assert json.loads(out) == {"modulus": str(5 ** 600), "roots": ["3"]}

@@ -1,6 +1,10 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from intersective import (
     NEG_INF,
@@ -10,6 +14,7 @@ from intersective import (
     distinct_degree_basis,
     gcd_primitive,
     nice_transform,
+    parse_poly,
     resultant,
     squarefree_part,
 )
@@ -269,3 +274,50 @@ class TestNiceTransform:
                 d = rng.randint(1, 10)
                 r = rng.randint(-10, 10)
                 assert nice_transform(fs, d, r).c == c0
+
+
+_x = sympy.symbols("x")
+
+
+def to_sympy(P: IntPoly) -> sympy.Poly:
+    return sympy.Poly(list(reversed(P.coeffs)), _x, domain="ZZ")
+
+
+def from_sympy(f: sympy.Poly) -> IntPoly:
+    return IntPoly([int(c) for c in reversed(f.all_coeffs())])
+
+
+coefficients = st.one_of(st.integers(-12, 12), st.integers(-2 ** 70, 2 ** 70))
+int_polys = st.builds(IntPoly, st.lists(coefficients, max_size=7))
+nonzero_polys = int_polys.filter(lambda P: not P.is_zero)
+
+
+class TestSympyOracles:
+    """resultant decides which primes check treats as ramified, so which
+    primes reach the unramified scan; sympy is the independent oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonzero_polys, nonzero_polys)
+    def test_resultant(self, f, g):
+        # sympy.resultant can return the wrong sign (it gives -9 for
+        # Res(x - 2, x^3 + 1) = 9), so it checks |Res| and the determinant
+        # of sympy's Sylvester matrix checks the sign
+        F, G = to_sympy(f), to_sympy(g)
+        res = resultant(f, g)
+        assert abs(res) == abs(int(sympy.resultant(F, G)))
+        assert res == int(sylvester(F.as_expr(), G.as_expr(), _x, 1).det())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(nonzero_polys, min_size=1, max_size=3),
+           st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    def test_squarefree_part(self, factors, powers):
+        P = IntPoly((1,))
+        for f, e in zip(factors, powers):
+            P = P * f ** e
+        want = from_sympy(to_sympy(P).sqf_part().primitive()[1])
+        assert squarefree_part(P) in (want, -want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_polys)
+    def test_parse_of_str_round_trips(self, P):
+        assert parse_poly(str(P)) == P
