@@ -8,7 +8,7 @@ search and exponential-sum machinery for studying small fractional parts of
 polynomial systems at prime arguments.
 """
 
-from .arith import factorize, is_prime, primes_in_range, primes_upto, valuation
+from .arith import factorize, is_prime, valuation
 from .cache import RootCache, poly_key
 from .certify import (
     IntersectivityVerdict,

@@ -59,16 +59,6 @@ def prime_segments(lo: int, hi: int):
         yield np.flatnonzero(flags) + seg_lo
 
 
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi]."""
-    return [p for seg in prime_segments(lo, hi) for p in seg.tolist()]
-
-
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n."""
-    return primes_in_range(2, n)
-
-
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle variant)."""
     if n % 2 == 0:

@@ -166,6 +166,8 @@ def weights(w: WeightSpec, N: int) -> list[float]:
     """Vector of lambda_{m,b}(n) for n = 1..N (index n-1)."""
     if N < 1:
         raise ValueError("N must be a positive integer")
+    if N > MAX_SUM_RANGE:
+        raise ValueError(f"N exceeds guard of {MAX_SUM_RANGE}")
     out = np.zeros(N)
     for ns, lams in _weight_blocks(w, 1, N):
         out[ns - 1] = lams
@@ -285,11 +287,14 @@ def montgomery_witness(xs, cs, M: int) -> tuple[int, float]:
     if bad.size:
         raise ValueError(
             f"hypothesis ||x_i|| >= 1/M violated at indices {bad.tolist()}")
-    ts = np.arange(1, M + 1)
-    sums = np.exp(2j * math.pi * np.outer(ts, xs)) @ cs
-    mags = np.abs(sums)
-    best = mags.max()
-    t = int(np.flatnonzero(mags == best)[-1]) + 1
+    # about SEGMENT terms e(t x_n) at a time, so memory is bounded in M
+    best, t, step = -1.0, 0, max(1, SEGMENT // xs.size)
+    for lo in range(1, M + 1, step):
+        ts = np.arange(lo, min(lo + step, M + 1))
+        mags = np.abs(np.exp(2j * math.pi * np.outer(ts, xs)) @ cs)
+        if mags.max() >= best:
+            best = mags.max()
+            t = int(ts[np.flatnonzero(mags == best)[-1]])
     floor = float(cs.sum()) / (6.0 * M)
     if best < floor:
         raise ArithmeticError("separation lower bound violated; "

@@ -1,11 +1,11 @@
 """Roots of integer polynomials modulo primes, prime powers, and composites.
 
-Root sets are exact. Prime-power roots are built level by level from the
-roots one level down (branch enumeration, with the unique-lift shortcut for
-simple roots); composite moduli go through the prime factorization and
-Chinese remaindering. On top of that sits a certification routine deciding
-whether a polynomial has a p-adic integer root (optionally a unit one), with
-a Newton-liftable witness as the certificate.
+Root sets are exact. Prime-power roots come from one tree of p-adic discs
+over the roots mod p, as classes of residues (Hensel's lemma closes a disc
+at once); composite moduli go through the prime factorization and Chinese
+remaindering. On top of that sits a certification routine deciding whether
+a polynomial has a p-adic integer root (optionally a unit one), with a
+Newton-liftable witness as the certificate.
 """
 
 from __future__ import annotations
@@ -97,22 +97,24 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
     return _ptrim(out)
 
 
-def _pmod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
+def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over F_p."""
+    r = a[:]
     inv = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        f = a[-1] * inv % p
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        f = q[shift] = r[-1] * inv % p
         if f:
-            shift = len(a) - len(b)
             for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * c) % p
-        a.pop()
-    return _ptrim(a)
+                r[shift + i] = (r[shift + i] - f * c) % p
+        r.pop()
+    return _ptrim(q), _ptrim(r)
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
-        a, b = b, _pmod(a, b, p)
+        a, b = b, _pdivmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -121,11 +123,11 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     result = [1]
-    base = _pmod(base, mod, p)
+    base = _pdivmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
+            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
+        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
@@ -164,24 +166,9 @@ def _roots_cz(cs: list[int], p: int) -> set[int]:
             u = _pgcd(h, _ptrim(w), p)
             if 1 < len(u) < len(h):
                 stack.append(u)
-                stack.append(_pdiv_exact(h, u, p))
+                stack.append(_pdivmod(h, u, p)[0])
                 break
     return roots
-
-
-def _pdiv_exact(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
-    inv = pow(b[-1], -1, p)
-    out = [0] * (len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        f = a[-1] * inv % p
-        out[len(a) - len(b)] = f
-        if f:
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * c) % p
-        a.pop()
-    return _ptrim(out)
 
 
 # -- root existence at many primes -------------------------------------------
@@ -301,30 +288,48 @@ def _lane_reduce(r: np.ndarray, low: np.ndarray, ps: np.ndarray,
 
 
 def lift_roots(P: IntPoly, p: int, k: int) -> set[int]:
-    """Exact set of roots of P mod p^k, lifted level by level from mod p."""
+    """Exact set of roots of P mod p^k."""
     if k < 1:
         raise ValueError("precision k must be >= 1")
-    levels = _lift_levels(P, p)
-    while len(levels) < k and levels[-1]:
-        pj = p ** len(levels)
-        dP = P.derivative()
-        out: list[int] = []
-        for r in levels[-1]:
-            fr = P.eval(r)
-            b = dP.eval(r) % p
-            if b:
-                t = (-(fr // pj) * pow(b, -1, p)) % p
-                out.append(r + t * pj)
-            elif fr % (pj * p) == 0:
-                out.extend(r + t * pj for t in range(p))
-        levels.append(frozenset(out))
-    return set(levels[k - 1]) if k <= len(levels) else set()
+    return {r for c, e in _root_classes(P, p, k)
+            for r in range(c, p ** k, p ** e)}
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _lift_levels(P: IntPoly, p: int) -> list[frozenset[int]]:
-    """Roots of P mod p, p^2, ... as far as lift_roots has extended the list."""
-    return [frozenset(roots_mod_p(P, p))]
+def _root_classes(P: IntPoly, p: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The roots of P mod p^k as disjoint classes (c, e): x = c mod p^e,
+    with c < p^e <= p^k.
+
+    Depth-first over the discs r + p^j Z_p, r a root mod p^j, with
+    v = v_p(P'(r)) and w = v_p(P(r)). If v < j, the linear Taylor term
+    decides the disc: it holds one p-adic root alpha (Hensel) when
+    w >= j + v, whose roots mod p^k are alpha mod p^max(j, k - v); otherwise
+    v_p(P) = w on the whole disc. If v >= j, P is constant mod p^(2j) on the
+    disc, so its p sub-discs all hold roots mod p^(j+1) or none does.
+    """
+    dP = P.derivative()
+    out = []
+    stack = [(r, 1) for r in roots_mod_p(P, p)]
+    while stack:
+        r, j = stack.pop()
+        if j == k:
+            out.append((r, k))
+            continue
+        fr, dfr = P.eval(r), dP.eval(r)
+        # 2k and k stand in for an infinite valuation in the tests below
+        w = valuation(fr, p) if fr else 2 * k
+        v = valuation(dfr, p) if dfr else k
+        if v < j and w >= j + v:
+            # v_p(P(x)) = v + v_p(x - alpha) here, so r = alpha mod p^(w - v)
+            e = max(j, k - v)
+            c = r if w >= e + v else _newton_converge(P, p, r, v, e)
+            out.append((c, e))
+        elif w >= k and (v < j or 2 * j >= k):
+            out.append((r, j))
+        elif v >= j and w > j and 2 * j < k:
+            pj = p ** j
+            stack.extend((r + t * pj, j + 1) for t in range(p))
+    return tuple(out)
 
 
 def roots_mod_q(P: IntPoly, q: int, coprime_only: bool = False) -> set[int]:
@@ -385,13 +390,9 @@ def newton_lift(P: IntPoly, root: PadicRoot, k2: int) -> PadicRoot:
         raise ValueError("target precision below current precision")
     if k2 == root.k:
         return root
-    p = root.p
-    fr = P.eval(root.r)
-    if fr == 0:
-        return PadicRoot.for_poly(P, p, k2, root.r)
-    v = valuation(P.derivative().eval(root.r), p)
-    res = _newton_converge(P, p, root.r, v, k2)
-    return PadicRoot.for_poly(P, p, k2, res)
+    # slack[1] < k / 2 is v_p(P'(r)) itself, not a capped value
+    res = _newton_converge(P, root.p, root.r, root.slack[1], k2)
+    return PadicRoot.for_poly(P, root.p, k2, res)
 
 
 # -- certification -----------------------------------------------------------
@@ -428,9 +429,8 @@ def certify_padic_root(P: IntPoly, p: int,
         raise ValueError("cannot certify the zero polynomial")
     pstar, D = squarefree_disc(P)
     level = 2 * valuation(D, p) + 1
-    cands = lift_roots(pstar, p, level)
-    if kind == "second":
-        cands = {r for r in cands if r % p}
+    cands = [c for c, _ in _root_classes(pstar, p, level)
+             if kind == "first" or c % p]
     if not cands:
         return None
     # D = u*P* + v*P*' with u, v in Z[x], so v_p(P*'(r)) <= beta at every
@@ -438,16 +438,8 @@ def certify_padic_root(P: IntPoly, p: int,
     root = PadicRoot.for_poly(pstar, p, level, min(cands))
     if root.slack is None:
         raise ArithmeticError(f"root {root.r} mod {p}^{level} has no slack")
-    return _stabilize(pstar, root)
-
-
-def _stabilize(P: IntPoly, root: PadicRoot) -> PadicRoot:
-    """Replace a slack-bearing residue by the truncation of its refined root."""
-    fr = P.eval(root.r)
-    if fr == 0:
-        return root
-    v = valuation(P.derivative().eval(root.r), root.p)
-    if v == 0:
-        return root
-    res = _newton_converge(P, root.p, root.r, v, root.k)
-    return PadicRoot.for_poly(P, root.p, root.k, res)
+    if root.slack[1]:
+        # the least residue of a class mod p^(level - v): refine it mod p^level
+        r = _newton_converge(pstar, p, root.r, root.slack[1], level)
+        root = PadicRoot.for_poly(pstar, p, level, r)
+    return root

@@ -254,11 +254,6 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     return IntPoly(q), IntPoly(r)
 
 
-def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder: lead(b)^(deg a - deg b + 1) * a = q*b + result."""
-    return _pseudo_divmod(a, b)[1]
-
-
 # ---------------------------------------------------------------------------
 # resultants
 
@@ -287,7 +282,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         delta = A.degree - B.degree
         if A.degree % 2 == 1 and B.degree % 2 == 1:
             s = -s
-        R = _prem(A, B)
+        R = _pseudo_divmod(A, B)[1]
         A, B = B, _scale_exact(R, gg * h ** delta)
         gg = A.lead
         if delta == 0:
@@ -331,7 +326,7 @@ def _gcd2(a: IntPoly, b: IntPoly) -> IntPoly:
         if a.degree < b.degree:
             a, b = b, a
             continue
-        r = _prem(a, b)
+        r = _pseudo_divmod(a, b)[1]
         a, b = b, r.primitive()
     return a
 

@@ -1,7 +1,11 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intersective import (
     IntPoly,
@@ -248,3 +252,41 @@ class TestRootCache:
 def _lift_to(P, r0, k):
     from intersective import lift_roots
     return next(r for r in lift_roots(P, 19, k) if r % 19 == r0)
+
+
+D_MAX = 120
+
+
+@st.composite
+def unit_root_families(draw):
+    """Families {P, (x - c) P} with P a product of linear factors (x - a)^m
+    whose roots a have gcd 1, so that P has a unit root at every prime, and
+    a random order of the moduli 1..D_MAX."""
+    roots = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=4)
+                 .filter(lambda a: math.gcd(*a) == 1))
+    P = IntPoly((1,))
+    for a in roots:
+        P = P * (X - a) ** draw(st.integers(1, 2))
+    c = draw(st.integers(-60, 60))
+    order = draw(st.permutations(range(1, D_MAX + 1)))
+    return [P, (X - c) * P], order
+
+
+class TestRdCoherence:
+    @settings(max_examples=25, deadline=None)
+    @given(unit_root_families())
+    def test_coherent_coprime_roots_fresh_and_reloaded(self, case):
+        hs, order = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "roots.txt"
+            cache = RootCache(path)
+            fresh = {d: make_rd(hs, d, cache).r_d for d in order}
+            reloaded = RootCache(path)
+            again = {d: make_rd(hs, d, reloaded).r_d for d in reversed(order)}
+        assert again == fresh
+        for d, r in fresh.items():
+            assert -d < r <= 0 and math.gcd(r, d) == 1
+            for P in hs:
+                assert r % d in scan_roots(P, d)
+            for q in range(2, D_MAX // d + 1):
+                assert fresh[d * q] % d == r % d

@@ -24,7 +24,7 @@ from intersective import (
     weights,
     weyl_bound_eval,
 )
-from intersective.diophantine import _fracs
+from intersective.diophantine import MAX_SUM_RANGE, _fracs
 
 from helpers import naive_min_frac_search, trial_division_primes
 
@@ -95,6 +95,13 @@ class TestWeights:
     def test_empty_window(self):
         assert weights(WeightSpec(25, 1), 3) == [0.0, 0.0, 0.0]
         # 26, 51, 76 are all composite
+
+    def test_guard_rejects_before_allocating(self, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("weights allocated before its guard")
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(ValueError, match="guard"):
+            weights(WeightSpec(1, 0), MAX_SUM_RANGE + 1)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -288,6 +295,21 @@ class TestMontgomeryWitness:
     def test_hypothesis_violation_reported(self):
         with pytest.raises(ValueError, match=r"indices \[1\]"):
             montgomery_witness([0.5, 0.001, 0.4], [1.0, 1.0, 1.0], 4)
+
+    def test_blocks_match_one_shot_formula(self):
+        rng = random.Random(161)
+        for n in (1, 2, 3):
+            xs = np.array([rng.uniform(0.25, 0.75) for _ in range(n)])
+            cs = np.array([rng.uniform(0.0, 2.0) for _ in range(n)])
+            m = 2 * arith.SEGMENT // n + 17  # three blocks of t
+            mags = np.abs(np.exp(2j * math.pi * np.outer(np.arange(1, m + 1), xs)) @ cs)
+            t, mag = montgomery_witness(xs, cs, m)
+            assert mag == mags.max()
+            assert t == np.flatnonzero(mags == mags.max())[-1] + 1
+
+    def test_tie_goes_to_largest_t_across_blocks(self):
+        m = arith.SEGMENT + 5
+        assert montgomery_witness([0.5], [1.0], m) == (m, 1.0)
 
     def test_randomized_lower_bound(self):
         rng = random.Random(160)

@@ -19,7 +19,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intersective import IntPoly, arith, check_intersective, primes_upto
+from intersective import IntPoly, arith, check_intersective, sieve_primes
 from intersective.cli import main
 from intersective.modroots import (_pgcd, _ppowmod, _ptrim, _rootless_lanes,
                                    _roots_cz, first_rootless_prime)
@@ -27,7 +27,7 @@ from intersective.modroots import (_pgcd, _ppowmod, _ptrim, _rootless_lanes,
 from helpers import scan_roots
 
 X = IntPoly.x()
-PRIMES = primes_upto(5000)
+PRIMES = sieve_primes(5000)
 SMALL_PRIMES = [p for p in PRIMES if p < 3000]
 
 

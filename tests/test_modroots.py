@@ -16,7 +16,7 @@ from intersective import (
     roots_mod_q,
     valuation,
 )
-from intersective.modroots import _roots_cz, squarefree_disc
+from intersective.modroots import _root_classes, _roots_cz, squarefree_disc
 
 from helpers import random_intpoly, scan_roots
 
@@ -263,3 +263,61 @@ class TestDeepLift:
         assert lift_roots(X ** 2 + 5, 5, 1) == {0}
         assert lift_roots(X ** 2 + 5, 5, 10 ** 9) == set()
         assert lift_roots(X ** 2 - 2, 5, 10 ** 9) == set()
+
+
+@st.composite
+def repeated_root_cases(draw):
+    """(P, p, k) with P a product of factors (x - a)^m and x - a - p^i b, so
+    that roots mod p are repeated and discs both split and close early."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(1, max(k for k in range(1, 20) if p ** k <= 10 ** 5)))
+    P = IntPoly((draw(st.sampled_from([1, -1, p])),))
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(-20, 20))
+        if draw(st.booleans()):
+            P = P * (X - a) ** draw(st.integers(1, 4))
+        else:
+            P = P * (X - a - p ** draw(st.integers(1, 4)) * draw(st.integers(1, 4)))
+    return P, p, k
+
+
+class TestRootTree:
+    """The class tree behind lift_roots and certify_padic_root, against
+    scans of every residue."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_root_cases())
+    def test_lift_roots_matches_scan(self, case):
+        P, p, k = case
+        assert sorted(lift_roots(P, p, k)) == scan_roots(P, p ** k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_root_cases())
+    def test_classes_disjoint_and_reduced(self, case):
+        P, p, k = case
+        seen = set()
+        for c, e in _root_classes(P, p, k):
+            assert 1 <= e <= k and 0 <= c < p ** e
+            members = {c + t * p ** e for t in range(p ** (k - e))}
+            assert not members & seen
+            seen |= members
+        assert sorted(seen) == scan_roots(P, p ** k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_root_cases(), st.sampled_from(["first", "second"]))
+    def test_witness_refines_least_root(self, case, kind):
+        P, p, _ = case
+        pstar, D = squarefree_disc(P)
+        level = 2 * valuation(D, p) + 1
+        assume(p ** level <= 10 ** 5)
+        found = scan_roots(pstar, p ** level)
+        if kind == "second":
+            found = [r for r in found if r % p]
+        root = certify_padic_root(P, p, kind)
+        assert (root is None) == (not found)
+        if root is None:
+            return
+        v = valuation(pstar.derivative().eval(root.r), p)
+        assert root.k == level
+        assert root.r % p ** (level - v) == min(found) % p ** (level - v)
+        assert newton_lift(pstar, root, level + 3).r % p ** level == root.r
