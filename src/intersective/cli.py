@@ -64,16 +64,22 @@ def _verdict_obj(v) -> dict:
 
 
 def _emit(args, obj: dict, csv_rows: tuple[list[str], list[list]]) -> None:
-    if args.format == "csv":
-        header, rows = csv_rows
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
-    else:
-        print(json.dumps(obj))
+    try:
+        if args.format == "csv":
+            header, rows = csv_rows
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow(row)
+            sys.stdout.write(buf.getvalue())
+        else:
+            print(json.dumps(obj))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; send the rest to devnull so the final flush
+        # at exit stays silent, and keep the command's own exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _reals(value, what: str) -> list[float]:

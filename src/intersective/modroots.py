@@ -1,9 +1,11 @@
 """Roots of integer polynomials modulo primes, prime powers, and composites.
 
 Root sets are exact. Prime-power roots come from one tree of p-adic discs
-over the roots mod p, as classes of residues (Hensel's lemma closes a disc
-at once); composite moduli go through the prime factorization and Chinese
-remaindering. On top of that sits a certification routine deciding whether
+that branches on the roots mod p of each disc's Taylor-shifted polynomial,
+as classes of residues (Hensel's lemma closes a disc at a simple root);
+composite moduli go through the prime factorization and Chinese
+remaindering, and root sets above MAX_ROOTS members are refused before they
+are listed. On top of that sits a certification routine deciding whether
 a polynomial has a p-adic integer root (optionally a unit one), with a
 Newton-liftable witness as the certificate.
 """
@@ -13,14 +15,14 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from .arith import crt_pair, factorize, is_prime, valuation
 from .polys import IntPoly, resultant, squarefree_part
 
-DEFAULT_SCAN_LIMIT = 100_000
+DEFAULT_SCAN_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -287,65 +289,89 @@ def _lane_reduce(r: np.ndarray, low: np.ndarray, ps: np.ndarray,
 # -- prime-power lifting -----------------------------------------------------
 
 
+MAX_ROOTS = 10 ** 6
+
+
 def lift_roots(P: IntPoly, p: int, k: int) -> set[int]:
-    """Exact set of roots of P mod p^k."""
+    """Exact set of roots of P mod p^k, refused above MAX_ROOTS members."""
     if k < 1:
         raise ValueError("precision k must be >= 1")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if _root_count(P, p, k) > MAX_ROOTS:
+        raise ValueError(f"more than {MAX_ROOTS} roots mod {p}^{k}")
     return {r for c, e in _root_classes(P, p, k)
             for r in range(c, p ** k, p ** e)}
+
+
+def _root_count(P: IntPoly, p: int, k: int) -> int:
+    """The number of roots of P mod p^k, or some number above MAX_ROOTS."""
+    cap = MAX_ROOTS.bit_length()  # p^cap > MAX_ROOTS
+    if _all_residues(P, p, k):
+        return p ** min(k, cap)
+    return sum(p ** min(k - e, cap) for _, e in _root_classes(P, p, k))
+
+
+def _all_residues(P: IntPoly, p: int, k: int) -> bool:
+    """Whether p^k divides every coefficient of P."""
+    return P.is_zero or valuation(P.content(), p) >= k
 
 
 @functools.lru_cache(maxsize=1 << 16)
 def _root_classes(P: IntPoly, p: int, k: int) -> tuple[tuple[int, int], ...]:
     """The roots of P mod p^k as disjoint classes (c, e): x = c mod p^e,
-    with c < p^e <= p^k.
+    with 1 <= e <= k and c < p^e.
 
-    Depth-first over the discs r + p^j Z_p, r a root mod p^j, with
-    v = v_p(P'(r)) and w = v_p(P(r)). If v < j, the linear Taylor term
-    decides the disc: it holds one p-adic root alpha (Hensel) when
-    w >= j + v, whose roots mod p^k are alpha mod p^max(j, k - v); otherwise
-    v_p(P) = w on the whole disc. If v >= j, P is constant mod p^(2j) on the
-    disc, so its p sub-discs all hold roots mod p^(j+1) or none does.
+    Depth-first over the discs c + p^j Z_p, each with the Q for which
+    P(c + p^j t) = p^m Q(t) and p does not divide the content of Q. A disc
+    with m >= k is one class. Otherwise its roots lie over the roots t of Q
+    mod p: a simple t closes by Hensel's lemma to one class mod p^(j+k-m),
+    and a multiple t is the child disc c + p^j t + p^(j+1) Z_p, whose Q
+    comes from Q(t + p s). A root of multiplicity mu leaves a child of degree
+    at most mu mod p, so there are at most deg P classes and deg P * k discs.
     """
-    dP = P.derivative()
+    if _all_residues(P, p, k):
+        return tuple((r, 1) for r in range(p))
     out = []
-    stack = [(r, 1) for r in roots_mod_p(P, p)]
+    stack = [(0, 0, 0, P)]
     while stack:
-        r, j = stack.pop()
-        if j == k:
-            out.append((r, k))
+        c, j, m, Q = stack.pop()
+        s = valuation(Q.content(), p)
+        if s:
+            m, Q = m + s, IntPoly(a // p ** s for a in Q.coeffs)
+        if m >= k:
+            out.append((c, j))
             continue
-        fr, dfr = P.eval(r), dP.eval(r)
-        # 2k and k stand in for an infinite valuation in the tests below
-        w = valuation(fr, p) if fr else 2 * k
-        v = valuation(dfr, p) if dfr else k
-        if v < j and w >= j + v:
-            # v_p(P(x)) = v + v_p(x - alpha) here, so r = alpha mod p^(w - v)
-            e = max(j, k - v)
-            c = r if w >= e + v else _newton_converge(P, p, r, v, e)
-            out.append((c, e))
-        elif w >= k and (v < j or 2 * j >= k):
-            out.append((r, j))
-        elif v >= j and w > j and 2 * j < k:
-            pj = p ** j
-            stack.extend((r + t * pj, j + 1) for t in range(p))
+        pj = p ** j
+        roots = roots_mod_p(Q, p)
+        if m == k - 1:
+            out.extend((c + pj * t, j + 1) for t in roots)
+            continue
+        dQ = Q.derivative()
+        for t in roots:
+            if dQ.eval(t) % p:
+                out.append((c + pj * _newton_converge(Q, p, t, 0, k - m),
+                            j + k - m))
+            else:
+                stack.append((c + pj * t, j + 1, m, Q.compose_linear(p, t)))
     return tuple(out)
 
 
 def roots_mod_q(P: IntPoly, q: int, coprime_only: bool = False) -> set[int]:
-    """Roots of P mod q for any q >= 1, via prime powers and remaindering."""
+    """Roots of P mod q for any q >= 1, via prime powers and remaindering;
+    refused above MAX_ROOTS roots."""
     if q < 1:
         raise ValueError("modulus q must be a positive integer")
-    if q == 1:
-        return {0}
-    parts = []
-    for p, e in sorted(factorize(q).items()):
-        rs = lift_roots(P, p, e)
-        if not rs:
-            return set()
-        parts.append((p ** e, sorted(rs)))
+    parts = sorted(factorize(q).items())
+    size = prod(_root_count(P, p, e) for p, e in parts)
+    if size > MAX_ROOTS:
+        raise ValueError(f"more than {MAX_ROOTS} roots mod {q}")
+    if not size:
+        return set()
     combined = [(0, 1)]
-    for mod, rs in parts:
+    for p, e in parts:
+        mod = p ** e
+        rs = sorted(lift_roots(P, p, e))
         combined = [(crt_pair(r0, m0, r, mod), m0 * mod)
                     for (r0, m0) in combined for r in rs]
     out = {r for r, _ in combined}

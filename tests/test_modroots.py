@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from intersective import (
     IntPoly,
+    check_intersective,
     PadicRoot,
     certify_padic_root,
     lift_roots,
@@ -16,7 +17,13 @@ from intersective import (
     roots_mod_q,
     valuation,
 )
-from intersective.modroots import _root_classes, _roots_cz, squarefree_disc
+from intersective import modroots
+from intersective.modroots import (
+    DEFAULT_SCAN_LIMIT,
+    _root_classes,
+    _roots_cz,
+    squarefree_disc,
+)
 
 from helpers import random_intpoly, scan_roots
 
@@ -321,3 +328,121 @@ class TestRootTree:
         assert root.k == level
         assert root.r % p ** (level - v) == min(found) % p ** (level - v)
         assert newton_lift(pstar, root, level + 3).r % p ** level == root.r
+
+
+@st.composite
+def multiple_root_cases(draw):
+    """(P, p, k) with P a product of factors (x - a)^m, m <= 8, at levels
+    far beyond any residue scan."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    k = draw(st.integers(1, 60))
+    P = IntPoly((draw(st.sampled_from([1, -1, p])),))
+    for _ in range(draw(st.integers(1, 3))):
+        P = P * (X - draw(st.integers(-40, 40))) ** draw(st.integers(1, 8))
+    return P, p, k
+
+
+class TestTaylorShiftTree:
+    """Each node of the root tree branches on the roots mod p of its
+    Taylor-shifted polynomial, so its size is bounded by deg P."""
+
+    @staticmethod
+    def count_roots_mod_p(monkeypatch):
+        calls = []
+        inner = modroots.roots_mod_p
+
+        def counted(P, p):
+            calls.append(p)
+            return inner(P, p)
+
+        monkeypatch.setattr(modroots, "roots_mod_p", counted)
+        _root_classes.cache_clear()
+        return calls
+
+    @settings(max_examples=300, deadline=None)
+    @given(multiple_root_cases())
+    def test_classes_are_roots_and_few(self, case):
+        P, p, k = case
+        classes = _root_classes(P, p, k)
+        if P.content() % p ** k:  # else every residue mod p is a class
+            assert len(classes) <= P.degree
+        for c, e in classes:
+            assert 1 <= e <= k and 0 <= c < p ** e
+            # P(c + p^e t) vanishes mod p^k for every t
+            assert all(a % p ** k == 0 for a in P.compose_linear(p ** e, c).coeffs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(multiple_root_cases())
+    def test_nodes_at_most_degree_times_level(self, case):
+        P, p, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.count_roots_mod_p(mp)
+            _root_classes(P, p, k)
+            _root_classes.cache_clear()
+        assert len(calls) <= P.degree * k
+
+    def test_simple_roots_close_at_once(self, monkeypatch):
+        calls = self.count_roots_mod_p(monkeypatch)
+        classes = _root_classes((X - 1) * (X - 2) * (X - 3), 7, 2000)
+        _root_classes.cache_clear()
+        assert sorted(classes) == [(1, 2000), (2, 2000), (3, 2000)]
+        assert len(calls) == 1
+
+    def test_high_multiplicity_stays_small(self):
+        assert sorted(_root_classes((X - 1) ** 8 * (X + 1) ** 8, 2, 40)) == \
+            [(1, 4), (15, 4)]
+
+    @pytest.mark.parametrize("p", [31, 53, 101, 5419])
+    def test_cube_root_of_odd_valuation(self, p):
+        # v_p(2 p^7) = 7 is not a multiple of 3, so x^3 = 2 p^7 has no p-adic root
+        assert certify_padic_root(X ** 3 - 2 * p ** 7, p, "first") is None
+
+    def test_check_with_high_valuation_cube(self):
+        v = check_intersective((X ** 3 - 31 ** 7) * (X - 1), "second", 1000)
+        assert v.certified
+
+
+class TestScanLimit:
+    def test_above_limit_matches_scan(self):
+        rng = random.Random(10007)
+        primes = [p for p in range(DEFAULT_SCAN_LIMIT + 1, DEFAULT_SCAN_LIMIT + 200)
+                  if sympy.isprime(p)][:6]
+        for p in primes:
+            for _ in range(5):
+                f = random_intpoly(rng, 6, 10 ** 6)
+                assert sorted(roots_mod_p(f, p)) == scan_roots(f, p)
+            f = (X - 5) * (X - p + 1) * (X ** 2 - 4)
+            assert roots_mod_p(f, p) == {2, 5, p - 2, p - 1}
+
+
+class TestMaxRoots:
+    """Root sets above MAX_ROOTS are refused from the class count, before
+    any member is listed."""
+
+    def test_large_sets_refused(self):
+        with pytest.raises(ValueError, match="more than"):
+            lift_roots((X - 1) ** 8, 2, 30)  # 2^26 roots
+        with pytest.raises(ValueError, match="more than"):
+            lift_roots(X ** 2, 2, 400)  # 2^200 roots
+        with pytest.raises(ValueError, match="more than"):
+            lift_roots(IntPoly(), 1000003, 1)  # every residue
+        with pytest.raises(ValueError, match="more than"):
+            lift_roots(7 ** 30 * X, 7, 25)  # every residue
+        with pytest.raises(ValueError, match="more than"):
+            roots_mod_q(X ** 2, 2 ** 40 * 3 ** 40)  # 2^20 * 3^20 roots
+        with pytest.raises(ValueError, match="more than"):
+            roots_mod_q(X ** 2, 2 ** 38 * 19 ** 4)  # 2^19 * 19^2 roots
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(modroots, "MAX_ROOTS", 8)
+        assert len(lift_roots(X ** 2, 2, 6)) == 8  # x = 0 mod 8
+        with pytest.raises(ValueError, match="more than 8"):
+            lift_roots(X ** 2, 2, 8)  # x = 0 mod 16: 16 roots
+        assert len(roots_mod_q(X ** 2 - 1, 3 * 5 * 7)) == 8
+        with pytest.raises(ValueError, match="more than 8"):
+            roots_mod_q(X ** 2 - 1, 3 * 5 * 7 * 11)
+
+    def test_empty_part_wins(self):
+        # x^2 + 1 has no root mod 3, so the product is empty however large
+        # the other part is
+        assert roots_mod_q(2 ** 40 * (X ** 2 + 1), 2 ** 30 * 3) == set()

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -312,3 +313,30 @@ class TestDeepPrecisionCli:
         code, out, _ = run_cli(capsys, "roots", *modulus, "x-3")
         assert code == 0
         assert json.loads(out) == {"modulus": str(5 ** 600), "roots": ["3"]}
+
+
+class TestOutputLimits:
+    @pytest.mark.parametrize("argv,code", [
+        (["check", "(x^3-19)*(x^2+x+1)"], 0),
+        (["check", "(x^4-5*x^2+x+4)*(x^3-10*x^2+9*x-1)"], 1),
+        (["primes", "--N", "2000000"], 0),
+        (["primes", "--format", "csv", "--N", "2000000"], 0),
+    ])
+    def test_closed_stdout_keeps_exit_code(self, argv, code):
+        # the read end is closed before the command writes a byte
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "intersective", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert proc.stderr == ""
+
+    def test_too_many_roots_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "roots", "--p", "2", "--k", "30",
+                                 "(x-1)^8")
+        assert code == 2 and out == ""
+        assert "more than" in err
