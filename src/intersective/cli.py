@@ -128,11 +128,15 @@ def _cmd_roots(args) -> int:
     if args.q is not None:
         rs = sorted(roots_mod_q(P, args.q, coprime_only=args.coprime))
         modulus = args.q
-    elif args.p is not None:
+    else:
+        # refuse a modulus too long to print (p^k >= 10^limit) before the
+        # lift, deciding by logarithms without forming p^k; 0 is no limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and args.p > 1 and args.k * math.log10(args.p) >= limit:
+            raise ValueError(f"modulus {args.p}^{args.k} has more than "
+                             f"{limit} digits")
         rs = sorted(lift_roots(P, args.p, args.k))
         modulus = args.p ** args.k
-    else:
-        raise ValueError("need --p (with optional --k) or --q")
     _emit(args, {"modulus": str(modulus), "roots": [str(r) for r in rs]},
           (["root"], [[str(r)] for r in rs]))
     return 0
@@ -193,7 +197,7 @@ def _cmd_rd(args) -> int:
 
 def _cmd_nice(args) -> int:
     fs = [parse_poly(s) for s in args.polys]
-    ns = nice_transform(fs, args.d, args.r if args.r is not None else 0)
+    ns = nice_transform(fs, args.d, args.r)
     obj = {"c": str(ns.c), "T": [[str(e) for e in row] for row in ns.T.to_lists()],
            "g": [str(g) for g in ns.g], "d": ns.d, "r": ns.r}
     _emit(args, obj, (["c", "T", "g"],
@@ -314,9 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("roots", _cmd_roots, help="roots mod p, p^k, or composite q")
     p.add_argument("poly")
-    p.add_argument("--p", type=int)
+    modulus = p.add_mutually_exclusive_group(required=True)
+    modulus.add_argument("--p", type=int)
+    modulus.add_argument("--q", type=int)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--q", type=int)
     p.add_argument("--coprime", action="store_true")
 
     p = add("certify", _cmd_certify, help="p-adic root certificate at one prime")

@@ -230,13 +230,20 @@ def weyl_bound_eval(k: int, q: float, N: float, m: float, eps: float) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if q <= 0 or N <= 0 or m <= 0:
-        raise ValueError("q, N, m must be positive")
-    if k == 1:
-        return N * m * math.log(N) ** 4 * (q ** -0.5 + (N * m) ** -0.2
-                                           + N ** -0.5 * q ** 0.5)
-    inner = 1.0 / q + (N * m) ** -0.5 + q * N ** float(-k)
-    return (N * m) ** (1.0 + eps) * inner ** (4.0 ** (1 - k))
+    if not (all(map(math.isfinite, (q, N, m, eps))) and min(q, N, m) > 0):
+        raise ValueError("q, N, m must be positive and finite, eps finite")
+    try:
+        if k == 1:
+            out = N * m * math.log(N) ** 4 * (q ** -0.5 + (N * m) ** -0.2
+                                              + N ** -0.5 * q ** 0.5)
+        else:
+            inner = 1.0 / q + (N * m) ** -0.5 + q * N ** float(-k)
+            out = (N * m) ** (1.0 + eps) * inner ** (4.0 ** (1 - k))
+    except (OverflowError, ZeroDivisionError):  # where ** would give inf
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError("bound overflows a float")
+    return out
 
 
 def simultaneous_approx(alphas, Q: int, weights=None) -> tuple[int, list[float]]:

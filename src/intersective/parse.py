@@ -1,10 +1,11 @@
 """Parser for integer polynomial expressions in the variable x.
 
 Grammar: integer literals, x, binary + - *, ^ with a nonnegative integer
-literal exponent (at most 64), parentheses, and a leading unary minus at the
-start of any (sub)expression. Products are expanded exactly, so parsing is a
-fixed point on the canonical printed form of a polynomial. A product or power
-whose degree would exceed MAX_DEGREE is rejected before it is expanded.
+literal exponent (at most 64), parentheses nested at most MAX_DEPTH deep, and
+a leading unary minus at the start of any (sub)expression. Products are
+expanded exactly, so parsing is a fixed point on the canonical printed form of
+a polynomial. A product or power whose degree would exceed MAX_DEGREE is
+rejected before it is expanded.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from .polys import IntPoly
 
 MAX_EXPONENT = 64
 MAX_DEGREE = 1024
+MAX_DEPTH = 100  # parentheses; the recursive descent uses 4 frames per level
 
 
 class ParseError(ValueError):
@@ -53,6 +55,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -108,10 +111,14 @@ class _Parser:
         if kind == "x":
             return IntPoly.x()
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
             inner = self.expr()
             kind2, _, pos2 = self.take()
             if kind2 != ")":
                 raise ParseError("expected ')'", pos2)
+            self.depth -= 1
             return inner
         raise ParseError("expected a term", pos)
 

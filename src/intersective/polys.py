@@ -1,6 +1,6 @@
 """Exact arithmetic on integer polynomials.
 
-Everything here works over Z (or Q internally, with exact fractions): Horner
+Everything here works over Z, with no rational arithmetic: Horner
 evaluation, formal derivatives, resultants by the subresultant remainder
 sequence, primitive gcds, squarefree parts, reduction of a family of
 polynomials to a distinct-degree module basis, and the triangular change of
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -310,7 +309,7 @@ def _scale_exact(p: IntPoly, div: int) -> IntPoly:
     for c in p.coeffs:
         q, r = divmod(c, div)
         if r:
-            raise ArithmeticError("subresultant division not exact")
+            raise ArithmeticError(f"division by {div} not exact")
         out.append(q)
     return IntPoly(out)
 
@@ -377,20 +376,19 @@ def delta_factored(factors) -> int:
     coprime, and rejects otherwise.
     """
     hs = list(factors)
-    if not hs:
+    if not hs or any(h.is_zero or h.degree < 1 for h in hs):
         raise ValueError("input not a valid irreducible factorization")
-    for h in hs:
-        if h.is_zero or h.degree < 1:
-            raise ValueError("input not a valid irreducible factorization")
-        if gcd_primitive([h, h.derivative()]).degree != 0:
-            raise ValueError("input not a valid irreducible factorization")
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
             if gcd_primitive([hs[i], hs[j]]).degree != 0:
                 raise ValueError("input not a valid irreducible factorization")
     out = 1
     for h in hs:
-        out *= resultant(h, h.derivative())
+        # Res(h, h') = 0 exactly when h has a repeated factor
+        disc = resultant(h, h.derivative())
+        if disc == 0:
+            raise ValueError("input not a valid irreducible factorization")
+        out *= disc
     return out
 
 
@@ -470,33 +468,6 @@ def distinct_degree_basis(hs) -> tuple[list[IntPoly], IntMatrix]:
 # nice-system transform
 
 
-def _fp_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _fp_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _fp_eval(a: list[Fraction], x: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def nice_transform(fs, d: int, r: int) -> NiceSystem:
     """Turn distinct-degree polynomials into a nice system after x -> d*x + r.
 
@@ -504,7 +475,7 @@ def nice_transform(fs, d: int, r: int) -> NiceSystem:
     elimination integral uniformly in d and r, so the same c comes back for
     every substitution applied to the same input system.
     """
-    fs = [f for f in fs]
+    fs = list(fs)
     k = len(fs)
     if k == 0:
         raise ValueError("need at least one polynomial")
@@ -517,53 +488,38 @@ def nice_transform(fs, d: int, r: int) -> NiceSystem:
         raise ValueError("d must be a positive integer")
 
     # taylor[j][s]: coefficient of y^s in f_j(y + r), as a polynomial in r
-    taylor: list[list[list[Fraction]]] = []
-    for f in fs:
-        per_s = []
-        for s_exp in range(f.degree + 1):
-            cs = [Fraction(f.coeff(t) * math.comb(t, s_exp))
-                  for t in range(s_exp, f.degree + 1)]
-            per_s.append(cs)  # coefficient of r^(t - s)
-        taylor.append(per_s)
+    taylor = [[IntPoly(f.coeffs[t] * math.comb(t, s) for t in range(s, len(f.coeffs)))
+               for s in range(len(f.coeffs))] for f in fs]
 
-    one = [Fraction(1)]
-    t_rows: list[list[list[Fraction]]] = [[[] for _ in range(k)] for _ in range(k)]
+    # row i of T over Q(r) is rows[i] / dens[i], dens[i] = lead(f_0)...lead(f_(i-1));
+    # entries right of the diagonal stay zero
+    dens = [math.prod(f.lead for f in fs[:i]) for i in range(k)]
+    rows = []
     for i in range(k):
-        t_rows[i][i] = list(one)
+        row = [IntPoly()] * k
+        row[i] = IntPoly.constant(dens[i])
         for j in range(i - 1, -1, -1):
-            target = degs[j]
-            acc: list[Fraction] = []
-            for jp in range(j + 1, i + 1):
-                if degs[jp] >= target and t_rows[i][jp]:
-                    acc = _fp_add(acc, _fp_mul(t_rows[i][jp], taylor[jp][target]))
-            lead_j = fs[j].lead
-            t_rows[i][j] = [-c / lead_j for c in acc]
+            acc = sum((row[jp] * taylor[jp][degs[j]] for jp in range(j + 1, i + 1)),
+                      IntPoly())
+            row[j] = _scale_exact(-acc, fs[j].lead)
+        rows.append(row)
 
-    c = 1
-    for i in range(k):
-        for j in range(i + 1):
-            for coef in t_rows[i][j]:
-                c = math.lcm(c, coef.denominator)
+    # least common denominator of every coefficient of rows[i] / dens[i]
+    c = math.lcm(*(abs(den) // math.gcd(den, e.content())
+                   for den, row in zip(dens, rows) for e in row))
 
     entries = []
-    for i in range(k):
-        for j in range(k):
-            if j > i:
-                entries.append(0)
-            else:
-                val = _fp_eval(t_rows[i][j], r) * c
-                if val.denominator != 1:
-                    raise ArithmeticError("elimination did not clear denominators")
-                entries.append(int(val))
+    for den, row in zip(dens, rows):
+        for e in row:
+            val, rem = divmod(c * e.eval(r), den)
+            if rem:
+                raise ArithmeticError("elimination did not clear denominators")
+            entries.append(val)
     T = IntMatrix(k, k, tuple(entries))
 
     subs = [f.compose_linear(d, r) for f in fs]
-    g = []
-    for i in range(k):
-        acc = IntPoly()
-        for j in range(i + 1):
-            acc = acc + subs[j] * T.get(i, j)
-        g.append(acc)
+    g = [sum((s * e for s, e in zip(subs[:i + 1], T.row(i))), IntPoly())
+         for i in range(k)]
 
     for i in range(k):
         if g[i].degree != degs[i] or g[i].lead != c * d ** degs[i] * fs[i].lead:

@@ -255,6 +255,22 @@ class TestWeylBound:
         val = weyl_bound_eval(3, q, n, 1, 0.0)
         assert val == pytest.approx(n * (2 * n ** -1.5 + n ** -0.5) ** (1.0 / 16))
 
+    @pytest.mark.parametrize("args", [
+        (3, math.nan, 10, 1, 0.0), (2, 10, math.inf, 1, 0.0),
+        (2, 10, 10, math.nan, 0.0), (2, 10, 10, 1, math.inf),
+    ])
+    def test_rejects_non_finite_input(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            weyl_bound_eval(*args)
+
+    @pytest.mark.parametrize("args", [
+        (1, 1e300, 1e300, 1, 0.0), (2, 1e300, 1e300, 1, 1e10),
+        (1, 10, 1e-300, 1e-300, 0.0),
+    ])
+    def test_rejects_overflowing_bound(self, args):
+        with pytest.raises(ValueError, match="overflows"):
+            weyl_bound_eval(*args)
+
 
 class TestSimultaneousApprox:
     def test_half(self):

@@ -67,6 +67,12 @@ class TestParsePoly:
             with pytest.raises(ParseError, match="exceeds 1024"):
                 parse_poly(text)
 
+    def test_nesting_cap(self):
+        assert parse_poly("(" * 100 + "x" + ")" * 100) == X
+        with pytest.raises(ParseError, match="deeper than 100") as exc:
+            parse_poly("(" * 300 + "x" + ")" * 300)
+        assert exc.value.position == 101
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -340,3 +346,57 @@ class TestOutputLimits:
                                  "(x-1)^8")
         assert code == 2 and out == ""
         assert "more than" in err
+
+
+class TestArgumentLimits:
+    def test_deep_nesting_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "check", "(" * 300 + "x" + ")" * 300)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: parentheses nested deeper than 100")
+
+    @pytest.mark.parametrize("k,poly", [("1000000000", "x^2+5"),
+                                        ("10000", "x-3")])
+    def test_roots_modulus_too_long_to_print_exit_2(self, k, poly):
+        # refused before the lift, and before p^k is formed
+        proc = subprocess.run(
+            [sys.executable, "-m", "intersective", "roots", "--p", "5",
+             "--k", k, poly],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"modulus 5^{k} has more than" in proc.stderr
+
+    def test_roots_modulus_digit_limit_is_exact(self, capsys):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            # 5^915 has 640 digits and 5^916 has 641
+            code, out, _ = run_cli(capsys, "roots", "--p", "5", "--k", "915",
+                                   "x-3")
+            assert code == 0 and json.loads(out)["modulus"] == str(5 ** 915)
+            code, out, err = run_cli(capsys, "roots", "--p", "5", "--k", "916",
+                                     "x-3")
+            assert code == 2 and "has more than 640 digits" in err
+            sys.set_int_max_str_digits(0)  # no limit, no cap
+            code, out, _ = run_cli(capsys, "roots", "--p", "5", "--k", "2000",
+                                   "x-3")
+            assert code == 0 and json.loads(out)["roots"] == ["3"]
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("argv", [["--p", "5", "--q", "7"], []])
+    def test_roots_needs_exactly_one_modulus(self, capsys, argv):
+        code, out, err = run_cli(capsys, "roots", *argv, "x-3")
+        assert code == 2 and out == ""
+        assert "--p" in err and "--q" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [
+        ["--k", "3", "--q", "nan", "--N", "10"],
+        ["--k", "2", "--q", "10", "--N", "inf"],
+        ["--k", "1", "--q", "1e300", "--N", "1e300"],
+        ["--k", "2", "--q", "1e300", "--N", "1e300", "--eps", "1e10"],
+    ])
+    def test_weyl_bound_never_prints_non_finite(self, capsys, fmt, argv):
+        code, out, err = run_cli(capsys, "weyl-bound", "--format", fmt, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -274,6 +275,45 @@ class TestNiceTransform:
                 d = rng.randint(1, 10)
                 r = rng.randint(-10, 10)
                 assert nice_transform(fs, d, r).c == c0
+
+    def test_least_constant_example(self):
+        # row 1 over Q(r) is (-(6r + 1)/2, 1), so c = 2
+        ns = nice_transform([2 * X, 3 * X ** 2 + X], 1, 0)
+        assert ns.c == 2
+        assert ns.T.to_lists() == [[2, 0], [-1, 2]]
+
+    def test_least_constant_against_sympy(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            fs = _random_system(rng, k_max=4, deg_max=5)
+            d = rng.randint(1, 12)
+            r = rng.randint(-20, 20)
+            c, rows = _sympy_unit_transform(fs)
+            ns = nice_transform(fs, d, r)
+            assert ns.c == c
+            for i, row in enumerate(rows):
+                for j, e in enumerate(row):
+                    assert ns.T.get(i, j) == c * e.subs(_r, r)
+
+
+_r, _y = sympy.symbols("r y")
+
+
+def _sympy_unit_transform(fs):
+    """(c, T): T over Q(r) with unit diagonal that makes row i of
+    T * (f_j(y + r))_j free of y^(deg f_j) for j < i, from sympy's linear
+    solver, and c the lcm of the denominators of its coefficients in r."""
+    shifted = [sum(c * (_y + _r) ** e for e, c in enumerate(f.coeffs)) for f in fs]
+    rows = []
+    for i, f in enumerate(fs):
+        ts = sympy.symbols(f"t0:{i}")
+        g = sympy.Poly(shifted[i] + sum(t * s for t, s in zip(ts, shifted)), _y)
+        eqs = [g.coeff_monomial(_y ** int(fs[j].degree)) for j in range(i)]
+        sol = sympy.solve(eqs, ts, dict=True)[0] if i else {}
+        rows.append([sympy.cancel(sol[t]) for t in ts] + [sympy.Integer(1)])
+    c = math.lcm(*(q.q for row in rows for e in row
+                   for q in sympy.Poly(e, _r, domain="QQ").coeffs()))
+    return c, rows
 
 
 _x = sympy.symbols("x")
