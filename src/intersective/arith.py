@@ -83,10 +83,15 @@ def factorize(n: int) -> dict[int, int]:
     return dict(_factorize_cached(n))
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_NEXT_PRIME_SQ = 53 * 53
+"""A cofactor free of _SMALL_PRIMES and below this is 1 or a prime."""
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+    for p in _SMALL_PRIMES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -95,7 +100,7 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m):
+        if m < _NEXT_PRIME_SQ or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)

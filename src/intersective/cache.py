@@ -10,8 +10,13 @@ text file, one entry per line:
 
 Later lines for the same (poly-hash, p) pair supersede earlier ones at
 higher precision. Lines of any other shape, such as one torn by an
-interrupted write, are skipped on load. Access within a process is expected
-to be single-writer.
+interrupted write, are skipped on load. A well-formed entry is checked
+against its polynomial once per RootCache object, on the first get for that
+(polynomial, prime): an r that is not a root, or a wrong unit flag, raises
+ValueError. Later gets, and gets after a put, are served from the verified
+roots held in memory, keyed by the polynomial itself so that a hash
+collision cannot hand one polynomial's root to another. Access within a
+process is expected to be single-writer.
 """
 
 from __future__ import annotations
@@ -38,7 +43,11 @@ class RootCache:
 
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = Path(path) if path is not None else None
+        # (k, r, unit) of the latest entry per (poly_key, p), as in the file
         self._mem: dict[tuple[str, int], tuple[int, int, bool]] = {}
+        # roots checked by get or stored by put, by (polynomial, p)
+        self._roots: dict[tuple[IntPoly, int], PadicRoot] = {}
+        self._keys: dict[IntPoly, str] = {}
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -50,18 +59,28 @@ class RootCache:
             key, p, k, r, unit = m.groups()
             self._mem[(key, int(p))] = (int(k), int(r), unit == "1")
 
+    def _key(self, P: IntPoly) -> str:
+        key = self._keys.get(P)
+        if key is None:
+            key = self._keys[P] = poly_key(P)
+        return key
+
     def get(self, P: IntPoly, p: int) -> PadicRoot | None:
-        entry = self._mem.get((poly_key(P), p))
+        root = self._roots.get((P, p))
+        if root is not None:
+            return root
+        entry = self._mem.get((self._key(P), p))
         if entry is None:
             return None
         k, r, unit = entry
         root = PadicRoot.for_poly(P, p, k, r)
         if root.unit != unit:
             raise ValueError("cache entry inconsistent with polynomial")
+        self._roots[(P, p)] = root
         return root
 
     def put(self, P: IntPoly, p: int, root: PadicRoot) -> None:
-        key = (poly_key(P), p)
+        key = (self._key(P), p)
         old = self._mem.get(key)
         if old is not None:
             old_k, old_r, _ = old
@@ -70,6 +89,7 @@ class RootCache:
             if root.r % p ** old_k != old_r:
                 raise ValueError("refusing to replace cached residue class")
         self._mem[key] = (root.k, root.r, root.unit)
+        self._roots[(P, p)] = root
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a") as fh:

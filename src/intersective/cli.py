@@ -126,17 +126,21 @@ def _cmd_primes(args) -> int:
 def _cmd_roots(args) -> int:
     P = parse_poly(args.poly)
     if args.q is not None:
+        if args.k is not None:
+            raise ValueError("--k applies only with --p")
         rs = sorted(roots_mod_q(P, args.q, coprime_only=args.coprime))
         modulus = args.q
     else:
+        k = 1 if args.k is None else args.k
         # refuse a modulus too long to print (p^k >= 10^limit) before the
         # lift, deciding by logarithms without forming p^k; 0 is no limit
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and args.p > 1 and args.k * math.log10(args.p) >= limit:
-            raise ValueError(f"modulus {args.p}^{args.k} has more than "
+        if limit and args.p > 1 and k * math.log10(args.p) >= limit:
+            raise ValueError(f"modulus {args.p}^{k} has more than "
                              f"{limit} digits")
-        rs = sorted(lift_roots(P, args.p, args.k))
-        modulus = args.p ** args.k
+        rs = sorted(r for r in lift_roots(P, args.p, k)
+                    if not args.coprime or r % args.p)
+        modulus = args.p ** k
     _emit(args, {"modulus": str(modulus), "roots": [str(r) for r in rs]},
           (["root"], [[str(r)] for r in rs]))
     return 0
@@ -321,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     modulus = p.add_mutually_exclusive_group(required=True)
     modulus.add_argument("--p", type=int)
     modulus.add_argument("--q", type=int)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int, help="precision with --p (default 1)")
     p.add_argument("--coprime", action="store_true")
 
     p = add("certify", _cmd_certify, help="p-adic root certificate at one prime")

@@ -248,6 +248,108 @@ class TestRootCache:
         rec = make_rd([P_CUBIC], 19, cache)
         assert rec.roots[19].k >= 1
 
+    @staticmethod
+    def _written(path, ds=(3, 9, 57, 171, 361)):
+        """A cache file holding the roots make_rd writes for P_CUBIC, and
+        the polynomial they belong to."""
+        from intersective import squarefree_part
+        for d in ds:
+            make_rd([P_CUBIC], d, RootCache(path))
+        return squarefree_part(P_CUBIC)
+
+    def test_entry_checked_once_per_object(self, tmp_path, monkeypatch):
+        from intersective.modroots import PadicRoot
+        path = tmp_path / "roots.txt"
+        gstar = self._written(path)
+        calls = []
+        for_poly = PadicRoot.for_poly.__func__
+
+        def counted(cls, *args):
+            calls.append(args[1])
+            return for_poly(cls, *args)
+
+        monkeypatch.setattr(PadicRoot, "for_poly", classmethod(counted))
+        cache = RootCache(path)
+        first = [cache.get(gstar, p) for p in (3, 19)]
+        assert all(cache.get(gstar, p) is r for p, r in zip((3, 19), first))
+        assert sorted(calls) == [3, 19]
+        assert RootCache(path).get(gstar, 19) == first[1]
+        assert sorted(calls) == [3, 19, 19]
+
+    def test_damaged_root_rejected_after_memory_hits(self, tmp_path):
+        from intersective.cache import poly_key
+        path = tmp_path / "roots.txt"
+        gstar = self._written(path)
+        r = next(r for r in range(1, 3 ** 3) if gstar.eval(r) % 27)
+        with path.open("a") as fh:
+            fh.write(f"{poly_key(gstar)} 3 3 {r} 1\n")
+        cache = RootCache(path)
+        assert cache.get(gstar, 19) is cache.get(gstar, 19)
+        with pytest.raises(ValueError, match="not a root"):
+            cache.get(gstar, 3)
+
+    def test_flipped_unit_flag_rejected(self, tmp_path):
+        path = tmp_path / "roots.txt"
+        gstar = self._written(path)
+        lines = path.read_text().splitlines()
+        last = next(line for line in reversed(lines) if line.split()[1] == "19")
+        path.write_text(path.read_text() + last[:-1] + "0\n")
+        cache = RootCache(path)
+        assert cache.get(gstar, 3) is not None
+        with pytest.raises(ValueError, match="inconsistent"):
+            cache.get(gstar, 19)
+
+    def test_damaged_entry_cli_exit_2(self, tmp_path, capsys):
+        from intersective.cache import poly_key
+        from intersective.cli import main
+        path = tmp_path / "roots.txt"
+        gstar = self._written(path)
+        path.write_text(path.read_text() + f"{poly_key(gstar)} 19 1 2 1\n")
+        code = main(["rd", "--d", "57", "--cache", str(path),
+                     "(x^3-19)*(x^2+x+1)"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "not a root" in err
+        assert "Traceback" not in err
+
+    def test_hash_collision_never_shares_a_root(self, tmp_path, monkeypatch):
+        from intersective import cache as cache_mod
+        from intersective import certify_padic_root
+        monkeypatch.setattr(cache_mod, "poly_key", lambda P: "0")
+        path = tmp_path / "roots.txt"
+        P, Q = X ** 2 + X + 1, X ** 2 - 2
+        root = certify_padic_root(P, 7, "second")
+        assert Q.eval(root.r) % 7
+        cache = RootCache(path)
+        cache.put(P, 7, root)
+        assert cache.get(P, 7) == root
+        with pytest.raises(ValueError, match="not a root"):
+            cache.get(Q, 7)
+        reloaded = RootCache(path)
+        assert reloaded.get(P, 7) == root
+        with pytest.raises(ValueError, match="not a root"):
+            reloaded.get(Q, 7)
+
+    def test_memory_follows_precision(self, tmp_path):
+        from intersective import PadicRoot, newton_lift
+        path = tmp_path / "roots.txt"
+        P = X ** 2 + X + 1
+        RootCache(path).put(P, 19, PadicRoot.for_poly(P, 19, 1, 7))
+        cache = RootCache(path)
+        low = cache.get(P, 19)
+        assert low.k == 1
+        high = newton_lift(P, low, 4)
+        cache.put(P, 19, high)
+        assert cache.get(P, 19) == high
+        on_disk = path.read_text()
+        cache.put(P, 19, newton_lift(P, low, 2))
+        assert cache.get(P, 19) == high
+        with pytest.raises(ValueError, match="residue class"):
+            cache.put(P, 19, PadicRoot.for_poly(P, 19, 5, _lift_to(P, 11, 5)))
+        assert cache.get(P, 19) == high
+        assert path.read_text() == on_disk
+        assert RootCache(path).get(P, 19) == high
+
 
 def _lift_to(P, r0, k):
     from intersective import lift_roots

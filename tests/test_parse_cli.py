@@ -389,6 +389,22 @@ class TestArgumentLimits:
         assert code == 2 and out == ""
         assert "--p" in err and "--q" in err
 
+    def test_roots_k_without_p_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "roots", "--q", "57", "--k", "5",
+                                 "x^2+x+1")
+        assert code == 2 and out == ""
+        assert err == "error: --k applies only with --p\n"
+
+    def test_roots_coprime_with_p(self, capsys):
+        code, out, _ = run_cli(capsys, "roots", "--p", "19", "x")
+        assert code == 0 and json.loads(out)["roots"] == ["0"]
+        code, out, _ = run_cli(capsys, "roots", "--p", "19", "--coprime", "x")
+        assert code == 0 and json.loads(out)["roots"] == []
+        code, out, _ = run_cli(capsys, "roots", "--p", "19", "--k", "2",
+                               "--coprime", "x^2-x")
+        assert code == 0
+        assert json.loads(out) == {"modulus": "361", "roots": ["1"]}
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [
         ["--k", "3", "--q", "nan", "--N", "10"],
