@@ -91,6 +91,10 @@ class RootCache:
         self._mem[key] = (root.k, root.r, root.unit)
         self._roots[(P, p)] = root
         if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a") as fh:
+            try:
+                fh = self.path.open("a")
+            except FileNotFoundError:  # the directory is made on demand
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                fh = self.path.open("a")
+            with fh:
                 fh.write(f"{key[0]} {p} {root.k} {root.r} {int(root.unit)}\n")

@@ -79,8 +79,7 @@ def check_intersective(P: IntPoly, kind: str = "second",
         raise ValueError("kind must be 'first' or 'second'")
     if P.is_zero or P.degree < 1:
         raise ValueError("polynomial must be nonconstant")
-    if bound >= SCAN_PRIME_LIMIT:
-        raise ValueError("scan bound must be below 2^31")
+    _check_bound(bound)
     content = P.content()
     P0 = P.primitive()
     pstar, D = squarefree_disc(P0)
@@ -121,9 +120,15 @@ def check_intersective(P: IntPoly, kind: str = "second",
                                  content_removed=content)
 
 
+def _check_bound(bound: int) -> None:
+    if not 0 <= bound < SCAN_PRIME_LIMIT:
+        raise ValueError("scan bound must be at least 0 and below 2^31")
+
+
 def check_joint(hs, kind: str = "second",
                 bound: int = DEFAULT_SCAN_BOUND) -> IntersectivityVerdict:
     """Joint intersectivity of a family, equivalent to that of its gcd."""
+    _check_bound(bound)
     hs = list(hs)
     if not hs:
         raise ValueError("need at least one polynomial")

@@ -208,7 +208,36 @@ def first_rootless_prime(P: IntPoly, primes) -> int | None:
 
 def _rootless_lanes(P: IntPoly, block: list[int]) -> np.ndarray:
     """For each prime p of the block, whether P has no root mod p."""
-    ps = np.array(block, dtype=np.int64)[:, None]
+    xp, table, ps = _lane_frobenius(P, block)
+    n = len(table)
+    if n == 0:
+        return np.ones(len(block), dtype=bool)  # a nonzero constant
+    # row i of m is x^i * h mod f, with h = x^p - x
+    m = np.empty((n, n, len(block)), dtype=np.int64)
+    m[0] = (xp - _lane_times_x(np.eye(n, 1, dtype=np.int64), table, ps)) % ps
+    for i in range(1, n):
+        m[i] = _lane_times_x(m[i - 1], table, ps)
+    # elimination without inverses: row <- pivot * row - a * pivot_row keeps
+    # the rank, and a lane with no pivot in some column is singular
+    lanes = np.arange(len(block))
+    rootless = np.ones(len(block), dtype=bool)
+    for c in range(n):
+        piv = c + np.argmax(m[c:, c] != 0, axis=0)
+        m[c, :, lanes], m[piv, :, lanes] = m[piv, :, lanes], m[c, :, lanes]
+        rootless &= m[c, c] != 0
+        for r in range(c + 1, n):
+            m[r, c:] = (m[c, c] * m[r, c:] - m[r, c] * m[c, c:]) % ps
+    return rootless
+
+
+def _lane_frobenius(P: IntPoly,
+                    block: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x^p mod f, the reduction table of f and the primes as lanes, for f the
+    monic reduction of P mod each prime of the block. Row i of an (n, L) lane
+    array holds coefficient i of all L lanes; table row j is x^(n+j) mod f,
+    so adding coefficient n + j times row j to the low n rows reduces mod f.
+    """
+    ps = np.array(block, dtype=np.int64)
     lc = _lane_residues(P.lead, ps)
     if not lc.all():
         bad = block[int(np.argmin(lc))]
@@ -221,37 +250,36 @@ def _rootless_lanes(P: IntPoly, block: list[int]) -> np.ndarray:
     for bit in reversed(range(pmax.bit_length())):
         inv = inv * inv % ps
         inv = np.where((ps - 2) >> bit & 1 == 1, inv * lc % ps, inv)
-    low = np.zeros((len(block), len(P.coeffs) - 1), dtype=np.int64)
+    n = P.degree
+    table = np.empty((n, n, len(block)), dtype=np.int64)
     for i, c in enumerate(P.coeffs[:-1]):
-        low[:, i:i + 1] = _lane_residues(c, ps) * inv % ps
-    # f = x^n + sum_i low[:, i] x^i is the monic reduction of P mod p
-    n, zero = low.shape[1], np.zeros_like(ps)
-    acc = np.zeros_like(low)
-    acc[:, :1] = 1
+        table[0, i] = -_lane_residues(c, ps) * inv % ps  # x^n = -low mod f
+    for j in range(1, n):
+        table[j] = _lane_times_x(table[j - 1], table, ps)
+    acc = np.zeros((n, len(block)), dtype=np.int64)
+    acc[:1] = 1  # x^0, with no row at all when f = 1
     for bit in reversed(range(pmax.bit_length())):
-        acc = _lane_reduce(_lane_square(acc, ps, period), low, ps, period)
-        times_x = _lane_reduce(np.hstack((zero, acc)), low, ps, period)
-        acc = np.where((ps >> bit) & 1 == 1, times_x, acc)
-    # row i of m is x^i * h mod f, with h = x^p - x
-    row = np.zeros((len(block), max(n, 2)), dtype=np.int64)
-    row[:, :n] = acc
-    row[:, 1:2] = (row[:, 1:2] + ps - 1) % ps
-    m = np.empty((len(block), n, n), dtype=np.int64)
-    for i in range(n):
-        m[:, i] = _lane_reduce(row, low, ps, period)
-        row = np.hstack((zero, m[:, i]))
-    # elimination without inverses: row <- pivot * row - a * pivot_row keeps
-    # the rank, and a lane with no pivot in some column is singular
-    lanes = np.arange(len(block))
-    rootless = np.ones(len(block), dtype=bool)
-    for c in range(n):
-        piv = c + np.argmax(m[:, c:, c] != 0, axis=1)
-        rootless &= m[lanes, piv, c] != 0
-        m[lanes, c], m[lanes, piv] = m[lanes, piv], m[lanes, c]
-        for r in range(c + 1, n):
-            m[:, r, c:] = (m[:, c, c:c + 1] * m[:, r, c:]
-                           - m[:, r, c:c + 1] * m[:, c, c:]) % ps
-    return rootless
+        c = np.zeros((2 * n, len(block)), dtype=np.int64)
+        for i in range(n):
+            c[i:i + n] += acc[i] * acc
+            if (i + 1) % period == 0:
+                c %= ps
+        # times x in the lanes whose bit is set; c[2n - 1] is still 0
+        c = np.where((ps >> bit) & 1 == 1, np.roll(c, 1, axis=0), c)
+        high, acc = c[n:] % ps, c[:n]
+        for j in range(n):
+            acc += high[j] * table[j]
+            if (n + j + 1) % period == 0:
+                acc %= ps
+        acc %= ps
+    return acc, table, ps
+
+
+def _lane_times_x(r: np.ndarray, table: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """x * r mod f per lane, for r with entries in [0, p)."""
+    out = r[-1] * table[0]
+    out[1:] += r[:-1]
+    return out % ps
 
 
 def _lane_residues(c: int, ps: np.ndarray) -> np.ndarray:
@@ -260,30 +288,6 @@ def _lane_residues(c: int, ps: np.ndarray) -> np.ndarray:
     for shift in range(abs(c).bit_length() // 31 * 31, -1, -31):
         acc = ((acc << 31) + (abs(c) >> shift & 0x7FFFFFFF)) % ps
     return acc if c >= 0 else -acc % ps
-
-
-def _lane_square(a: np.ndarray, ps: np.ndarray, period: int) -> np.ndarray:
-    """Square of each lane's polynomial, reduced mod its prime."""
-    n = a.shape[1]
-    out = np.zeros((a.shape[0], max(2 * n - 1, 0)), dtype=np.int64)
-    for i in range(n):
-        out[:, i:i + n] += a[:, i:i + 1] * a
-        if (i + 1) % period == 0 or i == n - 1:
-            out %= ps
-    return out
-
-
-def _lane_reduce(r: np.ndarray, low: np.ndarray, ps: np.ndarray,
-                 period: int) -> np.ndarray:
-    """Remainder of each lane's polynomial r, whose entries lie in [0, p),
-    mod its monic x^n + low; r is overwritten."""
-    n = low.shape[1]
-    for j, k in enumerate(range(r.shape[1] - 1, n - 1, -1)):
-        r[:, k:k + 1] %= ps  # the top coefficient, before it multiplies low
-        r[:, k - n:k] -= r[:, k:k + 1] * low
-        if (j + 1) % period == 0:
-            r[:, k - n:k] %= ps
-    return r[:, :n] % ps
 
 
 # -- prime-power lifting -----------------------------------------------------

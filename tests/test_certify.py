@@ -1,5 +1,6 @@
 import math
 import random
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -99,6 +100,23 @@ class TestCheckIntersective:
         v = check_intersective(X * P_CUBIC, "second", 1000)
         assert v.certified
         assert all(root.unit for root in v.ramified_witnesses.values())
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="at least 0"):
+            check_intersective(X - 1, "second", -5)
+        with pytest.raises(ValueError, match="at least 0"):
+            check_joint([X, X + 1], "second", -1)
+        with pytest.raises(ValueError, match="at least 0"):
+            check_theorem_condition([X - 1, X ** 2 - 1], 2, -5)
+
+    def test_bounds_zero_and_one_certify_ramified_primes_only(self):
+        # 5 is unramified and neither 33 nor 97 is a square mod 5
+        P = (X ** 2 - 33) * (X ** 2 - 97)
+        assert check_intersective(P, "first", 5).prime == 5
+        for bound in (0, 1):
+            v = check_intersective(P, "first", bound)
+            assert v.certified and v.scan_bound == bound
+            assert set(v.ramified_witnesses) == {2, 3, 11, 97}
 
     def test_pure_power_of_x_fails_second_kind(self):
         v = check_intersective(X ** 3, "second", 50)
@@ -349,6 +367,30 @@ class TestRootCache:
         assert cache.get(P, 19) == high
         assert path.read_text() == on_disk
         assert RootCache(path).get(P, 19) == high
+
+    def test_put_creates_missing_directory(self, tmp_path):
+        from intersective import PadicRoot
+        path = tmp_path / "a" / "b" / "roots.txt"
+        P = X ** 2 + X + 1
+        root = PadicRoot.for_poly(P, 19, 1, 7)
+        RootCache(path).put(P, 19, root)
+        assert RootCache(path).get(P, 19) == root
+
+    def test_put_recreates_removed_directory(self, tmp_path):
+        from intersective import PadicRoot
+        path = tmp_path / "d" / "roots.txt"
+        P = X ** 2 + X + 1
+        cache = RootCache(path)
+        cache.put(P, 19, PadicRoot.for_poly(P, 19, 1, 7))
+        assert len(path.read_text().splitlines()) == 1
+        shutil.rmtree(path.parent)
+        root = PadicRoot.for_poly(P, 7, 1, 2)
+        cache.put(P, 7, root)
+        assert len(path.read_text().splitlines()) == 1
+        cache.put(P, 13, PadicRoot.for_poly(P, 13, 1, 3))
+        assert len(path.read_text().splitlines()) == 2
+        reloaded = RootCache(path)
+        assert reloaded.get(P, 7) == root and reloaded.get(P, 19) is None
 
 
 def _lift_to(P, r0, k):

@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from intersective import IntPoly, arith, check_intersective, sieve_primes
 from intersective.cli import main
-from intersective.modroots import (_pgcd, _ppowmod, _ptrim, _rootless_lanes,
-                                   _roots_cz, first_rootless_prime)
+from intersective.modroots import (_lane_frobenius, _pdivmod, _pgcd, _ppowmod,
+                                   _ptrim, _rootless_lanes, _roots_cz,
+                                   first_rootless_prime)
 
 from helpers import scan_roots
 
@@ -268,6 +269,45 @@ class TestLanesNearTwoToThe31:
     def test_first_rootless_prime_near_the_limit(self):
         want = next(p for p in self.BLOCK if p % 4 == 3)
         assert first_rootless_prime(X ** 2 + 1, self.BLOCK) == want
+
+
+def padded(a: list[int], n: int) -> list[int]:
+    return a + [0] * (n - len(a))
+
+
+# blocks with a prime near 2^31 reduce after every product, near 2^30
+# after every 7
+near_limit = st.sets(st.sampled_from(TestLanesNearTwoToThe31.BLOCK
+                                     + primes_below(1 << 30, 100)),
+                     min_size=1, max_size=4)
+part_blocks = st.one_of(kernel_blocks, near_limit.map(sorted),
+                        st.builds(lambda a, b: sorted(set(a) | b),
+                                  kernel_blocks, near_limit))
+
+
+class TestLaneParts:
+    """The reduction table and the x^p ladder of each lane against the
+    scalar F_p arithmetic of modroots."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.builds(lambda low, lead: IntPoly(low + [lead]),
+                     st.lists(coefficients, min_size=1, max_size=12),
+                     coefficients.filter(bool)),
+           part_blocks)
+    def test_table_and_frobenius_match_scalar(self, P, block):
+        block = [p for p in block if P.lead % p]
+        assume(block)
+        n = P.degree
+        frobenius, table, ps = _lane_frobenius(P, block)
+        assert table.shape == (n, n, len(block))
+        for lane, p in enumerate(block):
+            inv = pow(P.lead, -1, p)
+            f = [c * inv % p for c in P.coeffs]
+            for j in range(n):
+                want = _pdivmod([0] * (n + j) + [1], f, p)[1]
+                assert table[j, :, lane].tolist() == padded(want, n)
+            want = _ppowmod([0, 1], p, f, p)
+            assert frobenius[:, lane].tolist() == padded(want, n)
 
 
 def degree_40(seed: int) -> IntPoly:

@@ -168,6 +168,14 @@ class TestCli:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize("argv", [["check", "x-1"],
+                                      ["joint", "x-1", "x^2-1"],
+                                      ["condition", "--l", "2", "x-1"]])
+    def test_negative_bound_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv[:1], "--bound", "-5", *argv[1:])
+        assert code == 2 and out == ""
+        assert "at least 0" in err
+
     def test_usage_error_exit_2(self, capsys):
         assert main(["not-a-command"]) == 2
 
@@ -309,6 +317,31 @@ class TestCli:
         code, out, _ = run_cli(capsys, "rd", "--d", "3", "--cache", str(cache),
                                "(x^3-19)*(x^2+x+1)")
         assert code == 0 and json.loads(out)["r_d"] == -2
+
+
+class TestRepeatedMain:
+    """The parser is built once per process; no call leaves state behind."""
+
+    def test_parser_built_once(self):
+        from intersective.cli import build_parser
+        assert build_parser() is build_parser()
+
+    def test_roots_precision_resets(self, capsys):
+        _, out, _ = run_cli(capsys, "roots", "--p", "5", "--k", "3", "x-3")
+        assert json.loads(out)["modulus"] == "125"
+        _, out, _ = run_cli(capsys, "roots", "--p", "5", "x-3")
+        assert json.loads(out)["modulus"] == "5"
+
+    def test_check_bound_resets(self, capsys):
+        from intersective.certify import DEFAULT_SCAN_BOUND
+        _, out, _ = run_cli(capsys, "check", "--bound", "50", "x-1")
+        assert json.loads(out)["scan_bound"] == 50
+        _, out, _ = run_cli(capsys, "check", "x-1")
+        assert json.loads(out)["scan_bound"] == DEFAULT_SCAN_BOUND
+
+    def test_valid_call_after_usage_error(self, capsys):
+        assert run_cli(capsys, "check", "--bound")[0] == 2
+        assert run_cli(capsys, "check", "--bound", "10", "x-1")[0] == 0
 
 
 class TestDeepPrecisionCli:
