@@ -182,15 +182,13 @@ _BLOCK_FIRST, _BLOCK_CAP = 64, 1 << 13
 def first_rootless_prime(P: IntPoly, primes) -> int | None:
     """Smallest prime in primes at which P has no root mod p, or None.
 
-    With f the monic reduction of P mod p and h = (x^p mod f) - x, P has a
-    root mod p exactly when gcd(f, h) != 1, that is when the resultant
-    Res(f, h) = det(multiplication by h on F_p[x]/(f)) vanishes mod p. The
-    whole test runs for a block of primes at once, one int64 lane per
-    prime: one square-and-multiply ladder gives x^p mod f, and row
-    elimination decides which lanes' matrices are singular. Blocks grow from
-    64 primes up to a fixed cap, so an early failure stays cheap and memory
-    stays bounded. Every prime must be below 2^31 and must not divide the
-    leading coefficient of P.
+    With f the monic reduction of P mod p, P has a root mod p exactly when
+    gcd(f, x^p - x) != 1 over F_p. The whole test runs for a block of primes
+    at once, one int64 lane per prime: one square-and-multiply ladder gives
+    x^p mod f, and a lane-synchronous Euclid finds the lanes whose gcd is a
+    constant. Blocks grow from 64 primes up to a fixed cap, so an early
+    failure stays cheap, and memory is linear in the degree. Every prime
+    must be below 2^31 and must not divide the leading coefficient of P.
     """
     primes = sorted(primes)
     if primes and primes[-1] >= SCAN_PRIME_LIMIT:
@@ -207,35 +205,40 @@ def first_rootless_prime(P: IntPoly, primes) -> int | None:
 
 
 def _rootless_lanes(P: IntPoly, block: list[int]) -> np.ndarray:
-    """For each prime p of the block, whether P has no root mod p."""
-    xp, table, ps = _lane_frobenius(P, block)
-    n = len(table)
-    if n == 0:
-        return np.ones(len(block), dtype=bool)  # a nonzero constant
-    # row i of m is x^i * h mod f, with h = x^p - x
-    m = np.empty((n, n, len(block)), dtype=np.int64)
-    m[0] = (xp - _lane_times_x(np.eye(n, 1, dtype=np.int64), table, ps)) % ps
-    for i in range(1, n):
-        m[i] = _lane_times_x(m[i - 1], table, ps)
-    # elimination without inverses: row <- pivot * row - a * pivot_row keeps
-    # the rank, and a lane with no pivot in some column is singular
-    lanes = np.arange(len(block))
-    rootless = np.ones(len(block), dtype=bool)
-    for c in range(n):
-        piv = c + np.argmax(m[c:, c] != 0, axis=0)
-        m[c, :, lanes], m[piv, :, lanes] = m[piv, :, lanes], m[c, :, lanes]
-        rootless &= m[c, c] != 0
-        for r in range(c + 1, n):
-            m[r, c:] = (m[c, c] * m[r, c:] - m[r, c] * m[c, c:]) % ps
-    return rootless
+    """For each prime p of the block, whether gcd(f, x^p - x) = 1 over F_p,
+    that is whether P has no root mod p."""
+    xp, low, ps = _lane_frobenius(P, block)
+    n = len(low)
+    # g[0] = f and g[1] = h = (x^p mod f) - x, top-aligned: row i of g[k]
+    # is the coefficient of x^(d[k] - i), and the rows past d[k] are zero
+    g = np.zeros((2, n + 1, len(block)), dtype=np.int64)
+    g[0, 0] = 1
+    g[0, 1:] = -low[::-1] % ps
+    g[1, 1:] = xp[::-1]
+    g[1, -2:-1] = (g[1, -2:-1] - 1) % ps  # minus x, with no row when n = 0
+    d = np.full((2, len(block)), n)
+    # each step keeps the gcd: a lane shifts out the zero lead of g1, or
+    # replaces the one of higher degree by lc(g1) g0 - lc(g0) g1 (leads
+    # aligned) and shifts out the cancelled lead; g0 always has a nonzero
+    # lead, and the products stay below p^2
+    while (live := d[1] >= 0).any():
+        a, b = g
+        c = (a[0] * b - b[0] * a) % ps  # c[0] = 0, and c = 0 where b = 0
+        swap = (b[0] != 0) & (d[1] <= d[0])
+        g[0] = np.where(swap, b, a)
+        g[1] = np.roll(c, -1, axis=0)
+        d = np.where(swap, d[::-1], d)
+        d[1] -= live
+    return d[0] == 0
 
 
 def _lane_frobenius(P: IntPoly,
                     block: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x^p mod f, the reduction table of f and the primes as lanes, for f the
-    monic reduction of P mod each prime of the block. Row i of an (n, L) lane
-    array holds coefficient i of all L lanes; table row j is x^(n+j) mod f,
-    so adding coefficient n + j times row j to the low n rows reduces mod f.
+    """x^p mod f, x^n mod f and the primes as lanes, for f the monic
+    reduction of P mod each prime of the block and n = deg f. Row i of an
+    (n, L) lane array holds coefficient i of all L lanes. A ladder step
+    folds its n high rows into the low n from the top down: x^j = x^(j-n)
+    times x^n mod f, each high row reduced mod p once before it multiplies.
     """
     ps = np.array(block, dtype=np.int64)
     lc = _lane_residues(P.lead, ps)
@@ -247,15 +250,14 @@ def _lane_frobenius(P: IntPoly,
     pmax = int(ps.max())
     period = max(1, (1 << 63) // pmax ** 2 - 1)
     inv = np.ones_like(ps)  # lc^(p - 2), the inverse of lc mod p
-    for bit in reversed(range(pmax.bit_length())):
-        inv = inv * inv % ps
-        inv = np.where((ps - 2) >> bit & 1 == 1, inv * lc % ps, inv)
+    if P.lead != 1:
+        for bit in reversed(range(pmax.bit_length())):
+            inv = inv * inv % ps
+            inv = np.where((ps - 2) >> bit & 1 == 1, inv * lc % ps, inv)
     n = P.degree
-    table = np.empty((n, n, len(block)), dtype=np.int64)
+    low = np.empty((n, len(block)), dtype=np.int64)
     for i, c in enumerate(P.coeffs[:-1]):
-        table[0, i] = -_lane_residues(c, ps) * inv % ps  # x^n = -low mod f
-    for j in range(1, n):
-        table[j] = _lane_times_x(table[j - 1], table, ps)
+        low[i] = -_lane_residues(c, ps) * inv % ps  # x^n = low mod f
     acc = np.zeros((n, len(block)), dtype=np.int64)
     acc[:1] = 1  # x^0, with no row at all when f = 1
     for bit in reversed(range(pmax.bit_length())):
@@ -266,20 +268,14 @@ def _lane_frobenius(P: IntPoly,
                 c %= ps
         # times x in the lanes whose bit is set; c[2n - 1] is still 0
         c = np.where((ps >> bit) & 1 == 1, np.roll(c, 1, axis=0), c)
-        high, acc = c[n:] % ps, c[:n]
-        for j in range(n):
-            acc += high[j] * table[j]
-            if (n + j + 1) % period == 0:
-                acc %= ps
-        acc %= ps
-    return acc, table, ps
-
-
-def _lane_times_x(r: np.ndarray, table: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """x * r mod f per lane, for r with entries in [0, p)."""
-    out = r[-1] * table[0]
-    out[1:] += r[:-1]
-    return out % ps
+        # after the n products of the square, fold j brings a row's count
+        # to 3n - j
+        for j in range(2 * n - 1, n - 1, -1):
+            c[j - n:j] += c[j] % ps * low
+            if (3 * n - j) % period == 0:
+                c[:j] %= ps
+        acc = c[:n] % ps
+    return acc, low, ps
 
 
 def _lane_residues(c: int, ps: np.ndarray) -> np.ndarray:

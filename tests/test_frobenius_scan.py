@@ -1,8 +1,8 @@
 """The batched root-existence scan against brute-force residue scans.
 
 first_rootless_prime decides "P has a root mod p" for whole blocks of
-primes at once: per int64 lane, the resultant of f = P mod p and
-h = (x^p mod f) - x vanishes exactly when gcd(f, h) != 1. The oracles here
+primes at once: per int64 lane, a Euclid without inverses decides whether
+gcd(f, h) != 1 for f = P mod p and h = (x^p mod f) - x. The oracles here
 evaluate P at every residue instead (helpers.scan_roots), take
 discriminants and squarefree parts from sympy, take that gcd with the
 scalar F_p arithmetic of modroots, split with Cantor-Zassenhaus, and
@@ -206,14 +206,29 @@ def lane_verdicts(P: IntPoly, block) -> list[bool]:
     return _rootless_lanes(P, list(block)).tolist()
 
 
-# random polynomials of degree 0-12, and products of distinct linear factors,
-# which split completely mod every prime above their spread (h = 0 there)
+def product(factors, start: IntPoly = IntPoly((1,))) -> IntPoly:
+    return functools.reduce(lambda a, b: a * b, factors, start)
+
+
+# random polynomials of degree 0-12; products of distinct linear factors,
+# which split completely mod every prime above their spread (h = 0 there);
+# and powers of x - r, x^2 - a and x times a cofactor, whose repeated
+# factors send the lane Euclid through zero leads, swaps and a remainder
+# cancelled to zero
+repeated = st.tuples(st.one_of(st.integers(-20, 20).map(lambda r: X - r),
+                               st.integers(-20, 20).map(lambda a: X ** 2 - a),
+                               st.just(X)),
+                     st.integers(1, 4))
 kernel_polys = st.one_of(
     st.builds(lambda low, lead: IntPoly(low + [lead]),
               st.lists(coefficients, max_size=12), coefficients.filter(bool)),
-    st.builds(lambda roots: IntPoly((1,)) if not roots else
-              functools.reduce(lambda a, b: a * b, [X - r for r in roots]),
-              st.sets(st.integers(-60, 60), max_size=12)))
+    st.builds(lambda roots: product(X - r for r in roots),
+              st.sets(st.integers(-60, 60), max_size=12)),
+    st.builds(lambda powers, low, lead: product(
+                  (f ** k for f, k in powers), IntPoly(low + [lead])),
+              st.lists(repeated, min_size=1, max_size=3),
+              st.lists(st.integers(-30, 30), max_size=3),
+              st.integers(-30, 30).filter(bool)))
 kernel_blocks = st.builds(lambda a, b: sorted(a | b),
                           st.sets(st.sampled_from(SMALL_PRIMES), max_size=30),
                           st.sets(st.sampled_from([2, 3, 5, 7, 11])))
@@ -231,7 +246,7 @@ class TestLaneResultant:
 
     def test_split_polynomial_has_h_zero_and_roots(self):
         # x^p - x vanishes mod f when f splits into distinct linear factors
-        P = functools.reduce(lambda a, b: a * b, [X - r for r in range(12)])
+        P = product(X - r for r in range(12))
         block = [p for p in SMALL_PRIMES if p > 12][:50]
         assert gcd_verdicts(P, block) == [False] * len(block)
         assert lane_verdicts(P, block) == [False] * len(block)
@@ -243,6 +258,20 @@ class TestLaneResultant:
             block = [p for p in (2, 3, 5, 7, 11) if P.lead % p]
             want = [not scan_roots(P, p) for p in block]
             assert lane_verdicts(P, block) == want
+
+    def test_memory_is_linear_in_the_degree(self):
+        # an (n, n, L) int64 array for n = 100 and 1024 lanes is 78 MiB
+        P = (X ** 50 - 1) * (X ** 50 + 1)
+        block = [p for p in sieve_primes(70_000) if p > 50_000][:1024]
+        assert len(block) == 1024
+        tracemalloc.start()
+        try:
+            rootless = _rootless_lanes(P, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not rootless.any()  # x = 1 is a root mod every prime
+        assert peak < 24 * 2 ** 20
 
 
 class TestLanesNearTwoToThe31:
@@ -286,8 +315,8 @@ part_blocks = st.one_of(kernel_blocks, near_limit.map(sorted),
 
 
 class TestLaneParts:
-    """The reduction table and the x^p ladder of each lane against the
-    scalar F_p arithmetic of modroots."""
+    """x^n mod f and the x^p ladder of each lane against the scalar F_p
+    arithmetic of modroots."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.builds(lambda low, lead: IntPoly(low + [lead]),
@@ -298,38 +327,38 @@ class TestLaneParts:
         block = [p for p in block if P.lead % p]
         assume(block)
         n = P.degree
-        frobenius, table, ps = _lane_frobenius(P, block)
-        assert table.shape == (n, n, len(block))
+        frobenius, low, ps = _lane_frobenius(P, block)
         for lane, p in enumerate(block):
             inv = pow(P.lead, -1, p)
             f = [c * inv % p for c in P.coeffs]
-            for j in range(n):
-                want = _pdivmod([0] * (n + j) + [1], f, p)[1]
-                assert table[j, :, lane].tolist() == padded(want, n)
+            want = _pdivmod([0] * n + [1], f, p)[1]
+            assert low[:, lane].tolist() == padded(want, n)
             want = _ppowmod([0, 1], p, f, p)
             assert frobenius[:, lane].tolist() == padded(want, n)
 
 
-def degree_40(seed: int) -> IntPoly:
+def random_monic(seed: int, n: int) -> IntPoly:
     rng = random.Random(seed)
-    return IntPoly([rng.randrange(-10 ** 6, 10 ** 6) for _ in range(40)] + [1])
+    return IntPoly([rng.randrange(-10 ** 6, 10 ** 6) for _ in range(n)] + [1])
 
 
 class TestDegree40:
     """Lanes add up to 2^63 // p^2 - 1 products before reducing: about two
     million near 2^21, so all of a square; 31 near 2^29 and 7 near 2^30,
-    fewer than the 40 products of a square or a reduction."""
+    fewer than the 40 or 64 products of a square or a fold."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_near_2_21_against_cantor_zassenhaus(self, seed):
-        P = degree_40(seed)
         block = primes_below(1 << 21, 12)
-        want = [not _roots_cz([c % p for c in P.coeffs], p) for p in block]
-        assert True in want and False in want
-        assert lane_verdicts(P, block) == want
+        for n in (40, 64):
+            P = random_monic(seed, n)
+            want = [not _roots_cz([c % p for c in P.coeffs], p) for p in block]
+            assert True in want and False in want
+            assert lane_verdicts(P, block) == want
 
     @pytest.mark.parametrize("top", [1 << 29, 1 << 30])
     def test_short_periods_against_scalar_gcd(self, top):
-        P = degree_40(top)
         block = primes_below(top, 8)
-        assert lane_verdicts(P, block) == gcd_verdicts(P, block)
+        for n in (40, 64):
+            P = random_monic(top, n)
+            assert lane_verdicts(P, block) == gcd_verdicts(P, block)
