@@ -48,7 +48,6 @@ from .modroots import (
 from .parse import ParseError, parse_poly
 from .polys import (
     NEG_INF,
-    IntMatrix,
     IntPoly,
     NiceSystem,
     delta_factored,

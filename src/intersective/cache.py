@@ -21,6 +21,7 @@ process is expected to be single-writer.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import re
@@ -32,6 +33,7 @@ from .polys import IntPoly
 _LINE = re.compile(r"([0-9a-f]+) (\d+) (\d+) (\d+) ([01])")
 
 
+@functools.lru_cache(maxsize=None)
 def poly_key(P: IntPoly) -> str:
     """Canonical hash of a polynomial's coefficient sequence."""
     payload = "v1:" + ",".join(str(c) for c in P.coeffs)
@@ -47,7 +49,6 @@ class RootCache:
         self._mem: dict[tuple[str, int], tuple[int, int, bool]] = {}
         # roots checked by get or stored by put, by (polynomial, p)
         self._roots: dict[tuple[IntPoly, int], PadicRoot] = {}
-        self._keys: dict[IntPoly, str] = {}
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -59,17 +60,11 @@ class RootCache:
             key, p, k, r, unit = m.groups()
             self._mem[(key, int(p))] = (int(k), int(r), unit == "1")
 
-    def _key(self, P: IntPoly) -> str:
-        key = self._keys.get(P)
-        if key is None:
-            key = self._keys[P] = poly_key(P)
-        return key
-
     def get(self, P: IntPoly, p: int) -> PadicRoot | None:
         root = self._roots.get((P, p))
         if root is not None:
             return root
-        entry = self._mem.get((self._key(P), p))
+        entry = self._mem.get((poly_key(P), p))
         if entry is None:
             return None
         k, r, unit = entry
@@ -80,7 +75,7 @@ class RootCache:
         return root
 
     def put(self, P: IntPoly, p: int, root: PadicRoot) -> None:
-        key = (self._key(P), p)
+        key = (poly_key(P), p)
         old = self._mem.get(key)
         if old is not None:
             old_k, old_r, _ = old

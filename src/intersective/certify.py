@@ -18,13 +18,11 @@ from math import gcd
 
 from .arith import crt_pair, factorize, prime_segments, valuation
 from .cache import RootCache
-from .modroots import (SCAN_PRIME_LIMIT, PadicRoot, certify_padic_root,
+from .modroots import (KINDS, SCAN_PRIME_LIMIT, PadicRoot, certify_padic_root,
                        first_rootless_prime, newton_lift, squarefree_disc)
 from .polys import IntPoly, gcd_primitive, squarefree_part
 
 DEFAULT_SCAN_BOUND = 10_000
-
-KINDS = ("first", "second")
 
 
 class NoSecondKindRootError(ValueError):
@@ -75,11 +73,9 @@ def check_intersective(P: IntPoly, kind: str = "second",
     coefficient there). Verdicts are conclusive for failure and for every
     prime actually checked; primes beyond the bound are not certified.
     """
-    if kind not in KINDS:
-        raise ValueError("kind must be 'first' or 'second'")
     if P.is_zero or P.degree < 1:
         raise ValueError("polynomial must be nonconstant")
-    _check_bound(bound)
+    _check_args(kind, bound)
     content = P.content()
     P0 = P.primitive()
     pstar, D = squarefree_disc(P0)
@@ -120,7 +116,9 @@ def check_intersective(P: IntPoly, kind: str = "second",
                                  content_removed=content)
 
 
-def _check_bound(bound: int) -> None:
+def _check_args(kind: str, bound: int) -> None:
+    if kind not in KINDS:
+        raise ValueError("kind must be 'first' or 'second'")
     if not 0 <= bound < SCAN_PRIME_LIMIT:
         raise ValueError("scan bound must be at least 0 and below 2^31")
 
@@ -128,7 +126,7 @@ def _check_bound(bound: int) -> None:
 def check_joint(hs, kind: str = "second",
                 bound: int = DEFAULT_SCAN_BOUND) -> IntersectivityVerdict:
     """Joint intersectivity of a family, equivalent to that of its gcd."""
-    _check_bound(bound)
+    _check_args(kind, bound)
     hs = list(hs)
     if not hs:
         raise ValueError("need at least one polynomial")

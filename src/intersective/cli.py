@@ -24,7 +24,8 @@ from pathlib import Path
 from . import certify as certify_mod
 from . import diophantine as dio
 from .cache import RootCache
-from .modroots import PadicRoot, certify_padic_root, lift_roots, roots_mod_q
+from .modroots import (KINDS, PadicRoot, certify_padic_root, lift_roots,
+                       roots_mod_q)
 from .parse import ParseError, parse_poly
 from .polys import delta_factored, distinct_degree_basis, nice_transform
 
@@ -117,7 +118,9 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_primes(args) -> int:
-    prog = (args.d, args.r) if args.d is not None else None
+    if args.d is None and args.r is not None:
+        raise ValueError("--r applies only with --d")
+    prog = None if args.d is None else (args.d, 1 if args.r is None else args.r)
     ps = dio.sieve_primes(args.N, prog)
     _emit(args, {"primes": ps, "count": len(ps)},
           (["prime"], [[p] for p in ps]))
@@ -161,39 +164,38 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _verdict_csv(v) -> tuple[list[str], list[list]]:
+def _verdict(args, v) -> int:
+    """Emit a verdict; exit 0 when certified, 1 on a conclusive failure."""
     header = ["kind", "status", "prime", "reason", "scan_bound", "witness_primes"]
     row = [v.kind, v.status, v.prime if v.prime is not None else "",
            v.reason or "", v.scan_bound,
            ";".join(str(p) for p in sorted(v.ramified_witnesses))]
-    return header, [row]
+    _emit(args, _verdict_obj(v), (header, [row]))
+    return 0 if v.certified else 1
 
 
 def _cmd_check(args) -> int:
     P = parse_poly(args.poly)
-    v = certify_mod.check_intersective(P, args.kind, args.bound)
-    _emit(args, _verdict_obj(v), _verdict_csv(v))
-    return 0 if v.certified else 1
+    return _verdict(args, certify_mod.check_intersective(P, args.kind, args.bound))
 
 
 def _cmd_joint(args) -> int:
     hs = [parse_poly(s) for s in args.polys]
-    v = certify_mod.check_joint(hs, args.kind, args.bound)
-    _emit(args, _verdict_obj(v), _verdict_csv(v))
-    return 0 if v.certified else 1
+    return _verdict(args, certify_mod.check_joint(hs, args.kind, args.bound))
 
 
 def _cmd_condition(args) -> int:
     hs = [parse_poly(s) for s in args.polys]
-    v = certify_mod.check_theorem_condition(hs, args.l, args.bound)
-    _emit(args, _verdict_obj(v), _verdict_csv(v))
-    return 0 if v.certified else 1
+    return _verdict(args, certify_mod.check_theorem_condition(hs, args.l, args.bound))
+
+
+def _cache(args) -> RootCache:
+    return RootCache(args.cache if args.cache else default_cache_path())
 
 
 def _cmd_rd(args) -> int:
     hs = [parse_poly(s) for s in args.polys]
-    cache = RootCache(args.cache if args.cache else default_cache_path())
-    rec = certify_mod.make_rd(hs, args.d, cache)
+    rec = certify_mod.make_rd(hs, args.d, _cache(args))
     obj = {"d": rec.d, "r_d": rec.r_d,
            "roots": [_witness_obj(rec.roots[p]) for p in sorted(rec.roots)]}
     _emit(args, obj, (["d", "r_d"], [[rec.d, rec.r_d]]))
@@ -203,10 +205,10 @@ def _cmd_rd(args) -> int:
 def _cmd_nice(args) -> int:
     fs = [parse_poly(s) for s in args.polys]
     ns = nice_transform(fs, args.d, args.r)
-    obj = {"c": str(ns.c), "T": [[str(e) for e in row] for row in ns.T.to_lists()],
+    obj = {"c": str(ns.c), "T": [[str(e) for e in row] for row in ns.T],
            "g": [str(g) for g in ns.g], "d": ns.d, "r": ns.r}
     _emit(args, obj, (["c", "T", "g"],
-                      [[str(ns.c), json.dumps(ns.T.to_lists()),
+                      [[str(ns.c), json.dumps(ns.T),
                         ";".join(str(g) for g in ns.g)]]))
     return 0
 
@@ -214,9 +216,9 @@ def _cmd_nice(args) -> int:
 def _cmd_basis(args) -> int:
     hs = [parse_poly(s) for s in args.polys]
     basis, M = distinct_degree_basis(hs)
-    obj = {"basis": [str(b) for b in basis], "M": M.to_lists()}
+    obj = {"basis": [str(b) for b in basis], "M": M}
     _emit(args, obj, (["basis", "M"],
-                      [[";".join(str(b) for b in basis), json.dumps(M.to_lists())]]))
+                      [[";".join(str(b) for b in basis), json.dumps(M)]]))
     return 0
 
 
@@ -257,12 +259,12 @@ def _cmd_montgomery(args) -> int:
 
 def _search_progression(args, hs):
     if args.d is None:
+        if args.r is not None:
+            raise ValueError("--r applies only with --d")
         return None
     if args.r is not None:
         return (args.d, args.r)
-    cache = RootCache(args.cache if args.cache else default_cache_path())
-    rec = certify_mod.make_rd(hs, args.d, cache)
-    return (args.d, rec.r_d)
+    return (args.d, certify_mod.make_rd(hs, args.d, _cache(args)).r_d)
 
 
 def _cmd_search(args) -> int:
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("primes", _cmd_primes, help="list primes, optionally in a progression")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--d", type=int)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--r", type=int, help="residue with --d (default 1)")
 
     p = add("roots", _cmd_roots, help="roots mod p, p^k, or composite q")
     p.add_argument("poly")
@@ -333,16 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("certify", _cmd_certify, help="p-adic root certificate at one prime")
     p.add_argument("poly")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--kind", choices=("first", "second"), default="second")
+    p.add_argument("--kind", choices=KINDS, default="second")
 
     p = add("check", _cmd_check, help="whole-polynomial intersectivity verdict")
     p.add_argument("poly")
-    p.add_argument("--kind", choices=("first", "second"), default="second")
+    p.add_argument("--kind", choices=KINDS, default="second")
     p.add_argument("--bound", type=int, default=certify_mod.DEFAULT_SCAN_BOUND)
 
     p = add("joint", _cmd_joint, help="joint intersectivity of a family")
     p.add_argument("polys", nargs="+")
-    p.add_argument("--kind", choices=("first", "second"), default="second")
+    p.add_argument("--kind", choices=KINDS, default="second")
     p.add_argument("--bound", type=int, default=certify_mod.DEFAULT_SCAN_BOUND)
 
     p = add("condition", _cmd_condition,

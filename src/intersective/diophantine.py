@@ -47,10 +47,6 @@ class RealPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 @dataclass(frozen=True)
 class WeightSpec:

@@ -24,6 +24,8 @@ from .polys import IntPoly, resultant, squarefree_part
 
 DEFAULT_SCAN_LIMIT = 10_000
 
+KINDS = ("first", "second")  # any root, or a unit root
+
 
 @dataclass(frozen=True)
 class PadicRoot:
@@ -62,9 +64,7 @@ def roots_mod_p(P: IntPoly, p: int) -> set[int]:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    cs = [c % p for c in P.coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
+    cs = _ptrim([c % p for c in P.coeffs])
     if not cs:
         return set(range(p))
     if len(cs) == 1:
@@ -115,11 +115,9 @@ def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of a and b over F_p, with any nonzero leading coefficient."""
     while b:
         a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
     return a
 
 
@@ -137,18 +135,10 @@ def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
 def _roots_cz(cs: list[int], p: int) -> set[int]:
     """Roots of a nonzero polynomial mod an odd prime by equal-degree splitting."""
     roots: set[int] = set()
-    f = cs[:]
-    while f and f[0] == 0:
-        roots.add(0)
-        f = f[1:]
-    if len(f) <= 1:
-        return roots
-    xp = _ppowmod([0, 1], p, f, p)
-    xp_minus_x = xp[:]
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
+    xp_minus_x = _ppowmod([0, 1], p, cs, p)
+    xp_minus_x += [0] * (2 - len(xp_minus_x))
     xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = _pgcd(f, _ptrim(xp_minus_x), p)
+    g = _pgcd(cs, _ptrim(xp_minus_x), p)
     if len(g) <= 1:
         return roots
     rng = random.Random(0)
@@ -163,7 +153,6 @@ def _roots_cz(cs: list[int], p: int) -> set[int]:
             w = _ppowmod([a, 1], (p - 1) // 2, h, p)
             if not w:
                 continue
-            w = w[:]
             w[0] = (w[0] - 1) % p
             u = _pgcd(h, _ptrim(w), p)
             if 1 < len(u) < len(h):
@@ -447,7 +436,7 @@ def certify_padic_root(P: IntPoly, p: int,
     is the smallest qualifying residue, stabilized by a Newton pass so that
     repeated lifting always extends the same p-adic root.
     """
-    if kind not in ("first", "second"):
+    if kind not in KINDS:
         raise ValueError("kind must be 'first' or 'second'")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -176,52 +176,16 @@ class IntPoly:
 
 
 @dataclass(frozen=True)
-class IntMatrix:
-    """Small dense integer matrix, row-major entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), ncols, tuple(c for r in rows for c in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-
-@dataclass(frozen=True)
 class NiceSystem:
     """Result of the nice-system transform.
 
-    T is k x k lower triangular with every diagonal entry equal to c, and
-    T * (f_i(d*x + r))_i = (g_i)_i holds as an exact polynomial identity,
-    where the g_i have strictly increasing degrees and the coefficient of
-    x^(deg g_i) vanishes in g_j for i != j.
+    T is k x k lower triangular, a tuple of row tuples, with every diagonal
+    entry equal to c, and T * (f_i(d*x + r))_i = (g_i)_i holds as an exact
+    polynomial identity, where the g_i have strictly increasing degrees and
+    the coefficient of x^(deg g_i) vanishes in g_j for i != j.
     """
 
-    T: IntMatrix
+    T: tuple[tuple[int, ...], ...]
     c: int
     g: tuple[IntPoly, ...]
     d: int
@@ -396,12 +360,12 @@ def delta_factored(factors) -> int:
 # distinct-degree module basis
 
 
-def distinct_degree_basis(hs) -> tuple[list[IntPoly], IntMatrix]:
+def distinct_degree_basis(hs) -> tuple[list[IntPoly], tuple[tuple[int, ...], ...]]:
     """Reduce polynomials to a basis of their Z-module with distinct degrees.
 
     Returns (basis, M) where the basis polynomials have strictly increasing
     degrees, generate the same Z-module of polynomials as the inputs, and
-    M is the k x s integer matrix with (h_i) = M * (basis_j).
+    M is the k x s integer matrix, as row tuples, with (h_i) = M * (basis_j).
     """
     hs = list(hs)
     if not hs or all(h.is_zero for h in hs):
@@ -460,8 +424,8 @@ def distinct_degree_basis(hs) -> tuple[list[IntPoly], IntMatrix]:
                 raise ArithmeticError("module reduction failed")
             coeffs[idx] = q
             w = w - basis[idx] * q
-        m_rows.append(coeffs)
-    return basis, IntMatrix.from_rows(m_rows)
+        m_rows.append(tuple(coeffs))
+    return basis, tuple(m_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -508,17 +472,12 @@ def nice_transform(fs, d: int, r: int) -> NiceSystem:
     c = math.lcm(*(abs(den) // math.gcd(den, e.content())
                    for den, row in zip(dens, rows) for e in row))
 
-    entries = []
-    for den, row in zip(dens, rows):
-        for e in row:
-            val, rem = divmod(c * e.eval(r), den)
-            if rem:
-                raise ArithmeticError("elimination did not clear denominators")
-            entries.append(val)
-    T = IntMatrix(k, k, tuple(entries))
+    # exact: c * rows[i] / dens[i] has integer coefficients
+    T = tuple(tuple(_scale_exact(c * e, den).eval(r) for e in row)
+              for den, row in zip(dens, rows))
 
     subs = [f.compose_linear(d, r) for f in fs]
-    g = [sum((s * e for s, e in zip(subs[:i + 1], T.row(i))), IntPoly())
+    g = [sum((s * e for s, e in zip(subs[:i + 1], T[i])), IntPoly())
          for i in range(k)]
 
     for i in range(k):

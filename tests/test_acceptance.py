@@ -185,13 +185,13 @@ def test_criterion_7_nice_system_suite():
         for i in range(k):
             acc = IntPoly(())
             for j in range(k):
-                acc = acc + subs[j] * ns.T.get(i, j)
+                acc = acc + subs[j] * ns.T[i][j]
             assert acc == ns.g[i]
         # (2) lower triangular integer T with constant diagonal
         for i in range(k):
-            assert ns.T.get(i, i) == ns.c != 0
+            assert ns.T[i][i] == ns.c != 0
             for j in range(i + 1, k):
-                assert ns.T.get(i, j) == 0
+                assert ns.T[i][j] == 0
         # (3) nice system with lead(g_i) = c d^(deg f_i) lead(f_i)
         gdegs = [int(g.degree) for g in ns.g]
         assert gdegs == sorted(set(gdegs))

@@ -138,6 +138,11 @@ class TestCheckJoint:
         assert v.status == "fails"
         assert v.reason == "gcd is constant"
 
+    def test_unknown_kind_rejected_before_gcd(self):
+        # the gcd of this family is constant, so no per-polynomial check runs
+        with pytest.raises(ValueError, match="kind"):
+            check_joint([X ** 2 + 1, X], kind="bogus")
+
     def test_matches_gcd_check_on_random_multiples(self):
         rng = random.Random(424242)
         base = X - 1  # second-kind intersective

@@ -59,6 +59,13 @@ class TestRootsModP:
         f = (X - 3) * (X - 70) * (X - 1000) * (X ** 2 + 1)
         assert roots_mod_p(f, 100003) == roots_mod_p(f, 100003) == {3, 70, 1000}
 
+    def test_splitting_finds_zero_root(self):
+        # 1000003 is 3 mod 4; 0 is a root of x^p - x, so the gcd keeps it
+        p = 1000003
+        assert roots_mod_p(X ** 3 * (X - 5) * (X ** 2 + 1), p) == {0, 5}
+        assert roots_mod_p(7 * X, p) == {0}
+        assert _roots_cz([0, 0, 3], p) == {0}
+
 
 class TestLiftRoots:
     def test_19_cubed_solution(self):

@@ -237,6 +237,22 @@ class TestCli:
         assert doc["basis"] == ["x", "x^2"]
         assert doc["M"] == [[0, 1], [1, 1]]
 
+    @pytest.mark.parametrize("argv,out", [
+        (["nice", "--d", "2", "--r", "1", "x", "x^2+x"],
+         '{"c": "1", "T": [["1", "0"], ["-3", "1"]], "g": ["2*x + 1", '
+         '"4*x^2 - 1"], "d": 2, "r": 1}\n'),
+        (["nice", "--format", "csv", "--d", "2", "--r", "1", "x", "x^2+x"],
+         'c,T,g\r\n1,"[[1, 0], [-3, 1]]",2*x + 1;4*x^2 - 1\r\n'),
+        (["basis", "6*x^3+4*x", "4*x^3+2*x^2", "x^2+3"],
+         '{"basis": ["8*x + 18", "x^2 + 3", "2*x^3 + 4*x + 6"], '
+         '"M": [[-1, 0, 3], [-1, 2, 2], [0, 1, 0]]}\n'),
+        (["basis", "--format", "csv", "6*x^3+4*x", "4*x^3+2*x^2", "x^2+3"],
+         'basis,M\r\n8*x + 18;x^2 + 3;2*x^3 + 4*x + 6,'
+         '"[[-1, 0, 3], [-1, 2, 2], [0, 1, 0]]"\r\n'),
+    ])
+    def test_nice_and_basis_exact_output(self, capsys, argv, out):
+        assert run_cli(capsys, *argv) == (0, out, "")
+
     def test_theta_fit_cli(self, capsys):
         code, out, _ = run_cli(capsys, "theta-fit", "--A", "[[1.41421356237]]",
                                "--Ns", "64,1024,4096,16384", "x^2")
@@ -427,6 +443,21 @@ class TestArgumentLimits:
                                  "x^2+x+1")
         assert code == 2 and out == ""
         assert err == "error: --k applies only with --p\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["primes", "--N", "30", "--r", "3"],
+        ["search", "--N", "50", "--r", "5", "--A", "[[1.41421356237]]", "x^2"],
+        ["theta-fit", "--Ns", "64,128,256", "--r", "5", "--A", "[[1.41421356237]]",
+         "x^2"],
+    ])
+    def test_r_without_d_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: --r applies only with --d\n"
+
+    def test_primes_residue_defaults_to_one_with_d(self, capsys):
+        code, out, _ = run_cli(capsys, "primes", "--N", "30", "--d", "4")
+        assert code == 0 and json.loads(out)["primes"] == [5, 13, 17, 29]
 
     def test_roots_coprime_with_p(self, capsys):
         code, out, _ = run_cli(capsys, "roots", "--p", "19", "x")
