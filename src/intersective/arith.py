@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -37,9 +36,9 @@ SEGMENT = 1 << 18
 """Consecutive integers sieved at once by prime_segments; bounds its memory."""
 
 
-def prime_segments(lo: int, hi: int):
-    """The primes in [lo, hi] as sorted int64 arrays, one array (possibly
-    empty) per segment of SEGMENT consecutive integers, in increasing order.
+def prime_segments(lo: int, hi: int, d: int = 1, r: int = 0):
+    """The primes p = r mod d in [lo, hi] as nonempty sorted int64 arrays, at
+    most one per segment of SEGMENT consecutive integers, in increasing order.
 
     Memory is O(SEGMENT + sqrt(hi)): the primes up to sqrt(hi) that cross
     off composites come from the same sieve.
@@ -56,11 +55,14 @@ def prime_segments(lo: int, hi: int):
                 break
             start = max(p * p, -(-seg_lo // p) * p)
             flags[start - seg_lo::p] = False
-        yield np.flatnonzero(flags) + seg_lo
+        ps = np.flatnonzero(flags) + seg_lo
+        ps = ps[ps % d == r % d]
+        if ps.size:
+            yield ps
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Floyd's cycle finding)."""
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -76,26 +78,21 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"factorization failed for {n}")
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    return dict(_factorize_cached(n))
-
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _NEXT_PRIME_SQ = 53 * 53
 """A cofactor free of _SMALL_PRIMES and below this is 1 or a prime."""
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}, primes ascending."""
+    if n < 1:
+        raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:
@@ -106,7 +103,7 @@ def _factorize_cached(n: int) -> tuple[tuple[int, int], ...]:
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return tuple(sorted(out.items()))
+    return dict(sorted(out.items()))
 
 
 def valuation(n: int, p: int) -> int:

@@ -73,18 +73,18 @@ def check_intersective(P: IntPoly, kind: str = "second",
     coefficient there). Verdicts are conclusive for failure and for every
     prime actually checked; primes beyond the bound are not certified.
     """
-    if P.is_zero or P.degree < 1:
+    if P.degree < 1:
         raise ValueError("polynomial must be nonconstant")
     _check_args(kind, bound)
     content = P.content()
     P0 = P.primitive()
     pstar, D = squarefree_disc(P0)
-    ramified = set(factorize(D)) if D > 1 else set()
+    ramified = set(factorize(D))
     scan_poly = pstar
     if kind == "second":
         nz = next(i for i, c in enumerate(P0.coeffs) if c != 0)
         low = P0.coeffs[nz]
-        ramified |= set(factorize(abs(low))) if abs(low) > 1 else set()
+        ramified |= set(factorize(abs(low)))
         if nz:
             # strip the x factor: unit roots of P mod p are the roots of the
             # cofactor, and 0 must not count as evidence at the scan primes
@@ -172,8 +172,7 @@ class RdRecord:
 @functools.lru_cache(maxsize=64)
 def _squarefree_gcd(hs: tuple[IntPoly, ...]) -> IntPoly:
     """Squarefree part of a family's primitive gcd, kept across make_rd calls."""
-    g = gcd_primitive(hs)
-    return squarefree_part(g) if g.degree >= 1 else g
+    return squarefree_part(gcd_primitive(hs))
 
 
 def make_rd(hs, d: int, cache: RootCache | None = None) -> RdRecord:
@@ -193,7 +192,7 @@ def make_rd(hs, d: int, cache: RootCache | None = None) -> RdRecord:
 
     roots: dict[int, PadicRoot] = {}
     residue, modulus = 0, 1
-    for p, e in sorted(factorize(d).items()):
+    for p, e in factorize(d).items():
         if gstar.degree < 1:
             raise NoSecondKindRootError(p, f"no unit root at prime {p}: "
                                            "gcd of the family is constant")

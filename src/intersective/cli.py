@@ -12,9 +12,9 @@ large integers are serialized as decimal strings in JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -28,16 +28,6 @@ from .modroots import (KINDS, PadicRoot, certify_padic_root, lift_roots,
                        roots_mod_q)
 from .parse import ParseError, parse_poly
 from .polys import delta_factored, distinct_degree_basis, nice_transform
-
-ENV_CACHE = "INTERSECTIVE_CACHE"
-
-
-def default_cache_path() -> Path:
-    env = os.environ.get(ENV_CACHE)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "intersective" / "roots.txt"
-
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -65,23 +55,25 @@ def _verdict_obj(v) -> dict:
     return out
 
 
-def _emit(args, obj: dict, csv_rows: tuple[list[str], list[list]]) -> None:
+@contextlib.contextmanager
+def _stdout():
+    """sys.stdout, flushed when the block ends."""
     try:
-        if args.format == "csv":
-            header, rows = csv_rows
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(row)
-            sys.stdout.write(buf.getvalue())
-        else:
-            print(json.dumps(obj))
+        yield sys.stdout
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone; send the rest to devnull so the final flush
         # at exit stays silent, and keep the command's own exit code
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit(args, obj: dict, csv_rows: tuple[list[str], list[list]]) -> None:
+    with _stdout() as out:
+        if args.format == "csv":
+            header, rows = csv_rows
+            csv.writer(out).writerows([header, *rows])
+        else:
+            print(json.dumps(obj), file=out)
 
 
 def _reals(value, what: str) -> list[float]:
@@ -118,12 +110,26 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_primes(args) -> int:
+    """Write the primes one sieve segment at a time, so memory stays flat
+    in N; the output is that of _emit on the whole list."""
     if args.d is None and args.r is not None:
         raise ValueError("--r applies only with --d")
     prog = None if args.d is None else (args.d, 1 if args.r is None else args.r)
-    ps = dio.sieve_primes(args.N, prog)
-    _emit(args, {"primes": ps, "count": len(ps)},
-          (["prime"], [[p] for p in ps]))
+    blocks = dio.prime_blocks(args.N, prog)  # checked before the first byte
+    with _stdout() as out:
+        if args.format == "csv":
+            rows = csv.writer(out)
+            rows.writerow(["prime"])
+            for ps in blocks:
+                rows.writerows([p] for p in ps.tolist())
+        else:
+            count = 0
+            out.write('{"primes": [')
+            for ps in blocks:
+                text = ", ".join(map(str, ps.tolist()))
+                out.write(f", {text}" if count else text)
+                count += ps.size
+            out.write(f'], "count": {count}}}\n')
     return 0
 
 
@@ -190,7 +196,8 @@ def _cmd_condition(args) -> int:
 
 
 def _cache(args) -> RootCache:
-    return RootCache(args.cache if args.cache else default_cache_path())
+    return RootCache(args.cache or os.environ.get("INTERSECTIVE_CACHE")
+                     or Path.home() / ".cache" / "intersective" / "roots.txt")
 
 
 def _cmd_rd(args) -> int:
@@ -426,7 +433,7 @@ def main(argv=None) -> int:
     except certify_mod.NoSecondKindRootError as exc:
         print(f"conclusive failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 would claim a conclusive negative

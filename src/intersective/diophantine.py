@@ -58,7 +58,7 @@ class WeightSpec:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be a positive integer")
-        if not 0 <= self.b < self.m and not (self.m == 1 and self.b == 0):
+        if not 0 <= self.b < self.m:
             raise ValueError("b must lie in [0, m)")
         if gcd(self.b, self.m) != 1:
             raise ValueError("b must be coprime to m")
@@ -127,35 +127,30 @@ def _frac_norms(A, hs, xs: np.ndarray) -> np.ndarray:
     return np.minimum(f, 1.0 - f)
 
 
-def _prime_blocks(N: int, progression: tuple[int, int] | None):
+def prime_blocks(N: int, progression: tuple[int, int] | None = None):
     """Primes <= N, restricted to p = r mod d when a progression (d, r) is
-    given, as nonempty sorted int64 arrays, one per sieve segment."""
+    given, as nonempty sorted int64 arrays, one per sieve segment. The
+    arguments are checked here, before anything is sieved."""
+    if N < 1:
+        raise ValueError("N must be a positive integer")
     d, r = progression if progression is not None else (1, 0)
     if d < 1:
         raise ValueError("progression modulus must be positive")
-    r %= d
-    if gcd(r, d) != 1:
-        raise ValueError(f"progression {r} mod {d} is not coprime")
-    for ps in prime_segments(2, N):
-        ps = ps[ps % d == r]
-        if ps.size:
-            yield ps
+    if gcd(r % d, d) != 1:
+        raise ValueError(f"progression {r % d} mod {d} is not coprime")
+    return prime_segments(2, N, d, r)
 
 
 def sieve_primes(N: int, progression: tuple[int, int] | None = None) -> list[int]:
     """Primes <= N, restricted to p = r mod d when a progression is given."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    return [p for ps in _prime_blocks(N, progression) for p in ps.tolist()]
+    return [p for ps in prime_blocks(N, progression) for p in ps.tolist()]
 
 
 def _weight_blocks(w: WeightSpec, lo: int, hi: int):
     """(n, lambda_{m,b}(n)) over the n in [lo, hi] with mn + b prime, as
     arrays, one pair per sieve segment."""
-    for vs in prime_segments(w.m * lo + w.b, w.m * hi + w.b):
-        vs = vs[vs % w.m == w.b]
-        if vs.size:
-            yield (vs - w.b) // w.m, np.log(vs)
+    for vs in prime_segments(w.m * lo + w.b, w.m * hi + w.b, w.m, w.b):
+        yield (vs - w.b) // w.m, np.log(vs)
 
 
 def weights(w: WeightSpec, N: int) -> list[float]:
@@ -314,7 +309,7 @@ def _sweep(hs, A, N: int, progression):
         raise ValueError("A must be an l x k matrix with k = len(hs)")
     if N < 2:
         raise ValueError("N must be at least 2")
-    for ps in _prime_blocks(N, progression):
+    for ps in prime_blocks(N, progression):
         vals = _frac_norms(A, hs, ps)
         yield ps, vals, vals.max(axis=0)
 

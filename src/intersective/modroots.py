@@ -57,7 +57,7 @@ class PadicRoot:
 
 
 def roots_mod_p(P: IntPoly, p: int) -> set[int]:
-    """Exact set of roots of P mod p.
+    """Exact set of roots of P mod p, refused above MAX_ROOTS members.
 
     p up to DEFAULT_SCAN_LIMIT use a direct scan of all residues; larger p
     use gcd with x^p - x followed by randomized degree-1 splitting.
@@ -66,9 +66,9 @@ def roots_mod_p(P: IntPoly, p: int) -> set[int]:
         raise ValueError(f"{p} is not prime")
     cs = _ptrim([c % p for c in P.coeffs])
     if not cs:
+        if p > MAX_ROOTS:
+            raise ValueError(f"more than {MAX_ROOTS} roots mod {p}")
         return set(range(p))
-    if len(cs) == 1:
-        return set()
     if p <= DEFAULT_SCAN_LIMIT:
         # modular Horner over all residues at once (p * p fits in int64)
         xs = np.arange(p, dtype=np.int64)
@@ -351,7 +351,7 @@ def roots_mod_q(P: IntPoly, q: int, coprime_only: bool = False) -> set[int]:
     refused above MAX_ROOTS roots."""
     if q < 1:
         raise ValueError("modulus q must be a positive integer")
-    parts = sorted(factorize(q).items())
+    parts = factorize(q).items()
     size = prod(_root_count(P, p, e) for p, e in parts)
     if size > MAX_ROOTS:
         raise ValueError(f"more than {MAX_ROOTS} roots mod {q}")
@@ -360,7 +360,9 @@ def roots_mod_q(P: IntPoly, q: int, coprime_only: bool = False) -> set[int]:
     combined = [(0, 1)]
     for p, e in parts:
         mod = p ** e
-        rs = sorted(lift_roots(P, p, e))
+        # lift_roots without its checks: p is prime and the count is known
+        rs = sorted(r for c, f in _root_classes(P, p, e)
+                    for r in range(c, mod, p ** f))
         combined = [(crt_pair(r0, m0, r, mod), m0 * mod)
                     for (r0, m0) in combined for r in rs]
     out = {r for r, _ in combined}

@@ -125,7 +125,7 @@ class _Parser:
 
 def parse_poly(text: str) -> IntPoly:
     """Parse an expression like "(x^3-19)*(x^2+x+1)" into an IntPoly."""
-    if not text or not text.strip():
+    if not text.strip():
         raise ParseError("empty expression", 1)
     parser = _Parser(_tokenize(text))
     poly = parser.expr()

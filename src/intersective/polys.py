@@ -92,8 +92,6 @@ class IntPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly((other,))
         return self + (-other)
 
     def __rsub__(self, other) -> "IntPoly":
@@ -107,8 +105,6 @@ class IntPoly:
             return IntPoly(c * other for c in self.coeffs)
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -145,7 +141,7 @@ class IntPoly:
         lin = IntPoly((r, d))
         acc = IntPoly()
         for c in reversed(self.coeffs):
-            acc = acc * lin + IntPoly((c,))
+            acc = acc * lin + c
         return acc
 
     # -- display -----------------------------------------------------------
@@ -248,11 +244,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         R = _pseudo_divmod(A, B)[1]
         A, B = B, _scale_exact(R, gg * h ** delta)
         gg = A.lead
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
-            h = gg
-        else:
+        if delta:
             h = gg ** delta // h ** (delta - 1)
     if B.is_zero:
         return 0
@@ -267,8 +259,6 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
 
 
 def _scale_exact(p: IntPoly, div: int) -> IntPoly:
-    if div == 1:
-        return p
     out = []
     for c in p.coeffs:
         q, r = divmod(c, div)
@@ -318,15 +308,10 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     if p.is_zero:
         raise ValueError("squarefree part of zero is undefined")
     pp = p.primitive()
-    if pp.degree == 0:
-        return IntPoly((1,))
     g = gcd_primitive([pp, pp.derivative()])
-    if g.degree == 0:
-        out = pp
-    else:
-        out, rem = _pseudo_divmod(pp, g)
-        if not rem.is_zero:
-            raise ValueError("inexact polynomial division")
+    out, rem = _pseudo_divmod(pp, g)
+    if not rem.is_zero:
+        raise ValueError("inexact polynomial division")
     if out.lead < 0:
         out = -out
     return out.primitive()
@@ -340,7 +325,7 @@ def delta_factored(factors) -> int:
     coprime, and rejects otherwise.
     """
     hs = list(factors)
-    if not hs or any(h.is_zero or h.degree < 1 for h in hs):
+    if not hs or any(h.degree < 1 for h in hs):
         raise ValueError("input not a valid irreducible factorization")
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
@@ -372,12 +357,11 @@ def distinct_degree_basis(hs) -> tuple[list[IntPoly], tuple[tuple[int, ...], ...
         raise ValueError("need at least one nonzero polynomial")
     width = max(len(h.coeffs) for h in hs if not h.is_zero)
     # rows in descending-degree column order
-    rows = [[h.coeff(width - 1 - c) for c in range(width)] for h in hs if not h.is_zero]
+    work = [[h.coeff(width - 1 - c) for c in range(width)] for h in hs if not h.is_zero]
 
     # integer row echelon (Hermite-style)
     pivot_rows: list[list[int]] = []
     pivot_cols: list[int] = []
-    work = [r[:] for r in rows]
     for col in range(width):
         live = [r for r in work if r[col] != 0]
         if not live:

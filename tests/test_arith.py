@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from intersective.arith import factorize
+from intersective import arith
+from intersective.arith import factorize, prime_segments
 
 
 def test_factorize_matches_sympy_to_20000():
@@ -27,3 +31,27 @@ def test_factorize_matches_sympy_near_shortcut_and_rho(n):
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
+
+
+# with SEGMENT = 64, a few hundred integers cross many segment boundaries
+_ENDS = st.one_of(st.integers(-3, 700),
+                  st.sampled_from([64 * k + e for k in range(1, 11)
+                                   for e in (-1, 0, 1)]))
+
+
+@given(lo=_ENDS, hi=_ENDS, d=st.integers(1, 30), r=st.integers(-40, 40))
+@example(lo=0, hi=640, d=1, r=0)
+@example(lo=64, hi=127, d=1, r=0)
+@example(lo=63, hi=192, d=4, r=3)
+@example(lo=2, hi=700, d=30, r=7)
+def test_prime_segments_match_sympy_in_residue_class(lo, hi, d, r):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "SEGMENT", 64)
+        segments = list(prime_segments(lo, hi, d, r))
+    for seg in segments:
+        assert seg.size and seg.dtype == np.int64
+        assert (np.diff(seg) > 0).all()
+    got = [int(p) for seg in segments for p in seg]
+    assert got == [p for p in sympy.primerange(lo, hi + 1) if (p - r) % d == 0]
+    # one array per segment of 64 integers, from max(lo, 2), that holds one
+    assert len({(p - max(lo, 2)) // 64 for p in got}) == len(segments)

@@ -439,6 +439,9 @@ class TestMaxRoots:
             roots_mod_q(X ** 2, 2 ** 40 * 3 ** 40)  # 2^20 * 3^20 roots
         with pytest.raises(ValueError, match="more than"):
             roots_mod_q(X ** 2, 2 ** 38 * 19 ** 4)  # 2^19 * 19^2 roots
+        with pytest.raises(ValueError, match="more than"):
+            roots_mod_p(IntPoly((0, 10 ** 9 + 7)), 10 ** 9 + 7)  # every residue
+        assert roots_mod_p(5 * X + 5, 5) == {0, 1, 2, 3, 4}
 
     def test_bound_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(modroots, "MAX_ROOTS", 8)

@@ -1,11 +1,14 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+import sympy
 
-from intersective import IntPoly, ParseError, parse_poly
+from intersective import IntPoly, ParseError, arith, parse_poly
 from intersective.cli import main
 
 X = IntPoly.x()
@@ -480,3 +483,42 @@ class TestArgumentLimits:
         code, out, err = run_cli(capsys, "weyl-bound", "--format", fmt, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+
+class TestPrimesStream:
+    @pytest.mark.parametrize("argv,json_out,csv_out", [
+        (["--N", "1"], '{"primes": [], "count": 0}\n', "prime\r\n"),
+        (["--N", "30", "--d", "4", "--r", "1"],
+         '{"primes": [5, 13, 17, 29], "count": 4}\n',
+         "prime\r\n5\r\n13\r\n17\r\n29\r\n"),
+    ])
+    def test_bytes(self, capsys, argv, json_out, csv_out):
+        assert run_cli(capsys, "primes", *argv) == (0, json_out, "")
+        assert run_cli(capsys, "primes", "--format", "csv", *argv) == \
+            (0, csv_out, "")
+
+    def test_segments_joined(self, capsys, monkeypatch):
+        monkeypatch.setattr(arith, "SEGMENT", 64)
+        code, out, _ = run_cli(capsys, "primes", "--N", "1000")
+        assert code == 0
+        assert json.loads(out) == {"primes": list(sympy.primerange(1001)),
+                                   "count": 168}
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_memory_flat_in_N(self, fmt):
+        # 216816 primes; listing them before printing peaked near 30 MiB
+        with open(os.devnull, "w") as sink, \
+                contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["primes", "--N", "3000000", "--format", fmt]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_bad_arguments_print_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "primes", "--N", "30", "--d", "4",
+                                 "--r", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: progression 2 mod 4 is not coprime\n"
