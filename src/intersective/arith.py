@@ -6,11 +6,20 @@ import math
 
 import numpy as np
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_EXACT_BELOW = 3317044064679887385961981
+"""The least strong pseudoprime to all of _MR_BASES (Sorenson and Webster)."""
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24, the 13-base bound)."""
+    """Whether n is prime.
+
+    Miller-Rabin to the 13 prime bases 2 to 41, which is exact below
+    _MR_EXACT_BELOW. From there on a strong Lucas test is added, which
+    makes the Baillie-PSW test (Baillie and Wagstaff, Math. Comp. 35,
+    1980): no composite is known to pass it.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -29,7 +38,57 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 free of small
+    factors, with Selfridge's parameters: the first D in 5, -7, 9, -11, ...
+    with (D/n) = -1, P = 1 and Q = (1 - D) / 4."""
+    if math.isqrt(n) ** 2 == n:  # no such D exists
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # |D| < n shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def half(x: int) -> int:
+        return (x if x % 2 == 0 else x + n) // 2 % n
+
+    # U_k, V_k and Q^k for k the leading bits of d: k -> 2k, then k -> k + 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):  # V_(2k) = V_k^2 - 2 Q^k
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 SEGMENT = 1 << 18
@@ -78,7 +137,6 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"factorization failed for {n}")
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _NEXT_PRIME_SQ = 53 * 53
 """A cofactor free of _SMALL_PRIMES and below this is 1 or a prime."""
 

@@ -10,13 +10,14 @@ text file, one entry per line:
 
 Later lines for the same (poly-hash, p) pair supersede earlier ones at
 higher precision. Lines of any other shape, such as one torn by an
-interrupted write, are skipped on load. A well-formed entry is checked
-against its polynomial once per RootCache object, on the first get for that
-(polynomial, prime): an r that is not a root, or a wrong unit flag, raises
-ValueError. Later gets, and gets after a put, are served from the verified
-roots held in memory, keyed by the polynomial itself so that a hash
-collision cannot hand one polynomial's root to another. Access within a
-process is expected to be single-writer.
+interrupted write or one holding bytes that are not UTF-8, are skipped on
+load, and a path that cannot be read or appended to raises ValueError naming
+it. A well-formed entry is checked against its polynomial once per RootCache
+object, on the first get for that (polynomial, prime): an r that is not a
+root, or a wrong unit flag, raises ValueError. Later gets, and gets after a
+put, are served from the verified roots held in memory, keyed by the
+polynomial itself so that a hash collision cannot hand one polynomial's root
+to another. Access within a process is expected to be single-writer.
 """
 
 from __future__ import annotations
@@ -53,7 +54,12 @@ class RootCache:
             self._load()
 
     def _load(self) -> None:
-        for line in self.path.read_text().splitlines():
+        try:
+            # a byte that is not UTF-8 becomes U+FFFD, so its line is skipped
+            text = self.path.read_text(encoding="utf-8", errors="replace")
+        except OSError as exc:
+            raise ValueError(f"cannot read cache {self.path}: {exc.strerror}")
+        for line in text.splitlines():
             m = _LINE.fullmatch(line.strip())
             if m is None:
                 continue
@@ -87,9 +93,13 @@ class RootCache:
         self._roots[(P, p)] = root
         if self.path is not None:
             try:
-                fh = self.path.open("a")
-            except FileNotFoundError:  # the directory is made on demand
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                fh = self.path.open("a")
-            with fh:
-                fh.write(f"{key[0]} {p} {root.k} {root.r} {int(root.unit)}\n")
+                try:
+                    fh = self.path.open("a")
+                except FileNotFoundError:  # the directory is made on demand
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    fh = self.path.open("a")
+                with fh:
+                    fh.write(f"{key[0]} {p} {root.k} {root.r} {int(root.unit)}\n")
+            except OSError as exc:
+                raise ValueError(
+                    f"cannot write cache {self.path}: {exc.strerror}")

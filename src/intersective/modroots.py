@@ -1,13 +1,14 @@
 """Roots of integer polynomials modulo primes, prime powers, and composites.
 
-Root sets are exact. Prime-power roots come from one tree of p-adic discs
-that branches on the roots mod p of each disc's Taylor-shifted polynomial,
-as classes of residues (Hensel's lemma closes a disc at a simple root);
-composite moduli go through the prime factorization and Chinese
-remaindering, and root sets above MAX_ROOTS members are refused before they
-are listed. On top of that sits a certification routine deciding whether
-a polynomial has a p-adic integer root (optionally a unit one), with a
-Newton-liftable witness as the certificate.
+Root sets are exact. Every root set mod p^k, k = 1 included, comes from one
+tree of p-adic discs that branches on the roots mod p of each disc's
+Taylor-shifted polynomial, as classes c mod p^e with 0 <= e <= k (the class
+(0, 0) of every residue exactly when p^k divides P). Composite moduli go
+through the factorization and Chinese remaindering, and root sets above
+MAX_ROOTS members are refused before they are listed. On top of that sits a
+certification routine deciding whether a polynomial has a p-adic integer
+root (optionally a unit one), with a Newton-liftable witness as the
+certificate.
 """
 
 from __future__ import annotations
@@ -57,18 +58,17 @@ class PadicRoot:
 
 
 def roots_mod_p(P: IntPoly, p: int) -> set[int]:
-    """Exact set of roots of P mod p, refused above MAX_ROOTS members.
+    """Exact set of roots of P mod p, refused above MAX_ROOTS members."""
+    return lift_roots(P, p, 1)
+
+
+def _nonzero_roots(Q: IntPoly, p: int) -> set[int]:
+    """Roots of Q mod the prime p, where Q mod p is not the zero polynomial.
 
     p up to DEFAULT_SCAN_LIMIT use a direct scan of all residues; larger p
     use gcd with x^p - x followed by randomized degree-1 splitting.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    cs = _ptrim([c % p for c in P.coeffs])
-    if not cs:
-        if p > MAX_ROOTS:
-            raise ValueError(f"more than {MAX_ROOTS} roots mod {p}")
-        return set(range(p))
+    cs = _ptrim([c % p for c in Q.coeffs])
     if p <= DEFAULT_SCAN_LIMIT:
         # modular Horner over all residues at once (p * p fits in int64)
         xs = np.arange(p, dtype=np.int64)
@@ -171,13 +171,15 @@ _BLOCK_FIRST, _BLOCK_CAP = 64, 1 << 13
 def first_rootless_prime(P: IntPoly, primes) -> int | None:
     """Smallest prime in primes at which P has no root mod p, or None.
 
-    With f the monic reduction of P mod p, P has a root mod p exactly when
-    gcd(f, x^p - x) != 1 over F_p. The whole test runs for a block of primes
-    at once, one int64 lane per prime: one square-and-multiply ladder gives
-    x^p mod f, and a lane-synchronous Euclid finds the lanes whose gcd is a
-    constant. Blocks grow from 64 primes up to a fixed cap, so an early
-    failure stays cheap, and memory is linear in the degree. Every prime
-    must be below 2^31 and must not divide the leading coefficient of P.
+    For p not dividing the leading coefficient lc of P, x -> lc x maps the
+    roots of P mod p onto those of the monic g(y) = lc^(n-1) P(y/lc) over Z,
+    n = deg P, so P has a root mod p exactly when gcd(g, x^p - x) != 1 over
+    F_p. The test runs for a block of primes at once, one int64 lane per
+    prime and no modular inverse: a square-and-multiply ladder gives x^p mod
+    g, and a lane-synchronous Euclid finds the lanes whose gcd is constant.
+    Blocks grow from 64 primes up to a fixed cap, so an early failure stays
+    cheap, and memory is linear in the degree. Every prime must be below
+    2^31 and must not divide lc.
     """
     primes = sorted(primes)
     if primes and primes[-1] >= SCAN_PRIME_LIMIT:
@@ -194,8 +196,8 @@ def first_rootless_prime(P: IntPoly, primes) -> int | None:
 
 
 def _rootless_lanes(P: IntPoly, block: list[int]) -> np.ndarray:
-    """For each prime p of the block, whether gcd(f, x^p - x) = 1 over F_p,
-    that is whether P has no root mod p."""
+    """For each prime p of the block, whether gcd(f, x^p - x) = 1 over F_p
+    for the monic f of _lane_frobenius, that is whether P has no root mod p."""
     xp, low, ps = _lane_frobenius(P, block)
     n = len(low)
     # g[0] = f and g[1] = h = (x^p mod f) - x, top-aligned: row i of g[k]
@@ -223,11 +225,12 @@ def _rootless_lanes(P: IntPoly, block: list[int]) -> np.ndarray:
 
 def _lane_frobenius(P: IntPoly,
                     block: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x^p mod f, x^n mod f and the primes as lanes, for f the monic
-    reduction of P mod each prime of the block and n = deg f. Row i of an
-    (n, L) lane array holds coefficient i of all L lanes. A ladder step
-    folds its n high rows into the low n from the top down: x^j = x^(j-n)
-    times x^n mod f, each high row reduced mod p once before it multiplies.
+    """x^p mod f, x^n mod f and the primes as lanes, for f = g mod each
+    prime of the block: g(y) = lc^(n-1) P(y/lc) has coefficient i equal to
+    c_i lc^(n-1-i), n = deg P. Row i of an (n, L) lane array holds
+    coefficient i of all L lanes. A ladder step folds its n high rows into
+    the low n from the top down: x^j = x^(j-n) times x^n mod f, each high
+    row reduced mod p once before it multiplies.
     """
     ps = np.array(block, dtype=np.int64)
     lc = _lane_residues(P.lead, ps)
@@ -238,15 +241,12 @@ def _lane_frobenius(P: IntPoly,
     # reducing, so its values stay below 2^63
     pmax = int(ps.max())
     period = max(1, (1 << 63) // pmax ** 2 - 1)
-    inv = np.ones_like(ps)  # lc^(p - 2), the inverse of lc mod p
-    if P.lead != 1:
-        for bit in reversed(range(pmax.bit_length())):
-            inv = inv * inv % ps
-            inv = np.where((ps - 2) >> bit & 1 == 1, inv * lc % ps, inv)
     n = P.degree
     low = np.empty((n, len(block)), dtype=np.int64)
-    for i, c in enumerate(P.coeffs[:-1]):
-        low[i] = -_lane_residues(c, ps) * inv % ps  # x^n = low mod f
+    power = np.ones_like(ps)  # lc^(n-1-i) mod p at row i
+    for i in reversed(range(n)):
+        low[i] = -_lane_residues(P.coeffs[i], ps) * power % ps  # x^n = low
+        power = power * lc % ps
     acc = np.zeros((n, len(block)), dtype=np.int64)
     acc[:1] = 1  # x^0, with no row at all when f = 1
     for bit in reversed(range(pmax.bit_length())):
@@ -287,29 +287,28 @@ def lift_roots(P: IntPoly, p: int, k: int) -> set[int]:
         raise ValueError("precision k must be >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if _root_count(P, p, k) > MAX_ROOTS:
+    classes = _root_classes(P, p, k)
+    if _root_count(classes, p, k) > MAX_ROOTS:
         raise ValueError(f"more than {MAX_ROOTS} roots mod {p}^{k}")
-    return {r for c, e in _root_classes(P, p, k)
-            for r in range(c, p ** k, p ** e)}
+    return set(_members(classes, p, k))
 
 
-def _root_count(P: IntPoly, p: int, k: int) -> int:
-    """The number of roots of P mod p^k, or some number above MAX_ROOTS."""
+def _root_count(classes, p: int, k: int) -> int:
+    """Roots mod p^k in the classes, or some number above MAX_ROOTS."""
     cap = MAX_ROOTS.bit_length()  # p^cap > MAX_ROOTS
-    if _all_residues(P, p, k):
-        return p ** min(k, cap)
-    return sum(p ** min(k - e, cap) for _, e in _root_classes(P, p, k))
+    return sum(p ** min(k - e, cap) for _, e in classes)
 
 
-def _all_residues(P: IntPoly, p: int, k: int) -> bool:
-    """Whether p^k divides every coefficient of P."""
-    return P.is_zero or valuation(P.content(), p) >= k
+def _members(classes, p: int, k: int) -> list[int]:
+    """The residues mod p^k in the classes."""
+    return [r for c, e in classes for r in range(c, p ** k, p ** e)]
 
 
 @functools.lru_cache(maxsize=1 << 16)
 def _root_classes(P: IntPoly, p: int, k: int) -> tuple[tuple[int, int], ...]:
     """The roots of P mod p^k as disjoint classes (c, e): x = c mod p^e,
-    with 1 <= e <= k and c < p^e.
+    with 0 <= e <= k and c < p^e, for a prime p. The class (0, 0) of every
+    residue comes alone and exactly when p^k divides P.
 
     Depth-first over the discs c + p^j Z_p, each with the Q for which
     P(c + p^j t) = p^m Q(t) and p does not divide the content of Q. A disc
@@ -319,20 +318,18 @@ def _root_classes(P: IntPoly, p: int, k: int) -> tuple[tuple[int, int], ...]:
     comes from Q(t + p s). A root of multiplicity mu leaves a child of degree
     at most mu mod p, so there are at most deg P classes and deg P * k discs.
     """
-    if _all_residues(P, p, k):
-        return tuple((r, 1) for r in range(p))
     out = []
     stack = [(0, 0, 0, P)]
     while stack:
         c, j, m, Q = stack.pop()
-        s = valuation(Q.content(), p)
+        s = k if Q.is_zero else valuation(Q.content(), p)
         if s:
             m, Q = m + s, IntPoly(a // p ** s for a in Q.coeffs)
         if m >= k:
             out.append((c, j))
             continue
         pj = p ** j
-        roots = roots_mod_p(Q, p)
+        roots = _nonzero_roots(Q, p)
         if m == k - 1:
             out.extend((c + pj * t, j + 1) for t in roots)
             continue
@@ -351,18 +348,16 @@ def roots_mod_q(P: IntPoly, q: int, coprime_only: bool = False) -> set[int]:
     refused above MAX_ROOTS roots."""
     if q < 1:
         raise ValueError("modulus q must be a positive integer")
-    parts = factorize(q).items()
-    size = prod(_root_count(P, p, e) for p, e in parts)
+    parts = [(p, e, _root_classes(P, p, e)) for p, e in factorize(q).items()]
+    size = prod(_root_count(classes, p, e) for p, e, classes in parts)
     if size > MAX_ROOTS:
         raise ValueError(f"more than {MAX_ROOTS} roots mod {q}")
     if not size:
         return set()
     combined = [(0, 1)]
-    for p, e in parts:
+    for p, e, classes in parts:
         mod = p ** e
-        # lift_roots without its checks: p is prime and the count is known
-        rs = sorted(r for c, f in _root_classes(P, p, e)
-                    for r in range(c, mod, p ** f))
+        rs = _members(classes, p, e)
         combined = [(crt_pair(r0, m0, r, mod), m0 * mod)
                     for (r0, m0) in combined for r in rs]
     out = {r for r, _ in combined}

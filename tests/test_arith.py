@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 import sympy
@@ -55,3 +57,40 @@ def test_prime_segments_match_sympy_in_residue_class(lo, hi, d, r):
     assert got == [p for p in sympy.primerange(lo, hi + 1) if (p - r) % d == 0]
     # one array per segment of 64 integers, from max(lo, 2), that holds one
     assert len({(p - max(lo, 2)) // 64 for p in got}) == len(segments)
+
+
+PSI_12 = 318665857834031151167461  # strong pseudoprime to bases 2 to 37
+PSI_13 = 3317044064679887385961981  # strong pseudoprime to bases 2 to 41
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not arith.is_prime(PSI_12)
+    assert not arith.is_prime(PSI_13)
+    assert sympy.isprime(399165290221) and sympy.isprime(798330580441)
+
+
+def test_factorize_strong_pseudoprime():
+    assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
+
+
+def test_is_prime_matches_sympy_on_large_odd_numbers():
+    rng = random.Random(13)
+    for bits in (40, 64, 82, 90, 128, 200):
+        for _ in range(150):
+            n = rng.getrandbits(bits) | 1 << bits - 1 | 1
+            assert arith.is_prime(n) == sympy.isprime(n), n
+    # primes around the exact bound of the 13 bases, where the Lucas test joins
+    for n in (sympy.prevprime(PSI_13), sympy.nextprime(PSI_13),
+              sympy.nextprime(10 ** 40), sympy.nextprime(2 ** 89)):
+        assert arith.is_prime(n)
+    for n in (sympy.nextprime(10 ** 15) ** 2, 5459 * sympy.nextprime(10 ** 25),
+              sympy.nextprime(2 ** 45) * sympy.nextprime(2 ** 46)):
+        assert not arith.is_prime(n)
+
+
+def test_strong_lucas_matches_sympy():
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+    for n in range(43, 30000, 2):
+        if all(n % p for p in arith._MR_BASES):
+            assert arith._strong_lucas(n) == is_strong_lucas_prp(n), n

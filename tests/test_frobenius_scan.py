@@ -316,7 +316,8 @@ part_blocks = st.one_of(kernel_blocks, near_limit.map(sorted),
 
 class TestLaneParts:
     """x^n mod f and the x^p ladder of each lane against the scalar F_p
-    arithmetic of modroots."""
+    arithmetic of modroots, for f the reduction of the monic integer
+    polynomial g(y) = lc^(n-1) P(y / lc)."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.builds(lambda low, lead: IntPoly(low + [lead]),
@@ -329,8 +330,9 @@ class TestLaneParts:
         n = P.degree
         frobenius, low, ps = _lane_frobenius(P, block)
         for lane, p in enumerate(block):
-            inv = pow(P.lead, -1, p)
-            f = [c * inv % p for c in P.coeffs]
+            # coefficient i of g is c_i lc^(n-1-i), and g is monic
+            f = [c * P.lead ** (n - 1 - i) % p
+                 for i, c in enumerate(P.coeffs[:-1])] + [1]
             want = _pdivmod([0] * n + [1], f, p)[1]
             assert low[:, lane].tolist() == padded(want, n)
             want = _ppowmod([0, 1], p, f, p)

@@ -67,6 +67,37 @@ class TestRootsModP:
         assert _roots_cz([0, 0, 3], p) == {0}
 
 
+# primes on both sides of the scan limit, all below MAX_ROOTS
+ONE_PATH_PRIMES = [2, 3, 7, 101, 9973, 10007, 100003]
+
+
+@st.composite
+def one_path_cases(draw):
+    """(P, p) with P the zero polynomial, a multiple of p, or any
+    polynomial, non-monic ones included."""
+    p = draw(st.sampled_from(ONE_PATH_PRIMES))
+    cs = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=6))
+    P = IntPoly(cs)
+    shape = draw(st.sampled_from(["zero", "multiple", "any"]))
+    if shape == "zero":
+        P = IntPoly()
+    elif shape == "multiple":
+        P = p * draw(st.integers(1, 3)) * P
+    return P, p
+
+
+class TestOneRootPath:
+    """roots mod p, mod p^1 and mod q = p are one root set."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_path_cases())
+    def test_roots_mod_p_lift_and_q_agree(self, case):
+        P, p = case
+        rs = roots_mod_p(P, p)
+        assert rs == lift_roots(P, p, 1) == roots_mod_q(P, p)
+        assert sorted(rs) == scan_roots(P, p)
+
+
 class TestLiftRoots:
     def test_19_cubed_solution(self):
         rs = lift_roots(X ** 2 + X + 1, 19, 3)
@@ -311,7 +342,8 @@ class TestRootTree:
         P, p, k = case
         seen = set()
         for c, e in _root_classes(P, p, k):
-            assert 1 <= e <= k and 0 <= c < p ** e
+            assert (e == 0) == (P.content() % p ** k == 0)
+            assert 0 <= e <= k and 0 <= c < p ** e
             members = {c + t * p ** e for t in range(p ** (k - e))}
             assert not members & seen
             seen |= members
@@ -354,15 +386,15 @@ class TestTaylorShiftTree:
     Taylor-shifted polynomial, so its size is bounded by deg P."""
 
     @staticmethod
-    def count_roots_mod_p(monkeypatch):
+    def count_root_searches(monkeypatch):
         calls = []
-        inner = modroots.roots_mod_p
+        inner = modroots._nonzero_roots
 
-        def counted(P, p):
+        def counted(Q, p):
             calls.append(p)
-            return inner(P, p)
+            return inner(Q, p)
 
-        monkeypatch.setattr(modroots, "roots_mod_p", counted)
+        monkeypatch.setattr(modroots, "_nonzero_roots", counted)
         _root_classes.cache_clear()
         return calls
 
@@ -371,10 +403,11 @@ class TestTaylorShiftTree:
     def test_classes_are_roots_and_few(self, case):
         P, p, k = case
         classes = _root_classes(P, p, k)
-        if P.content() % p ** k:  # else every residue mod p is a class
-            assert len(classes) <= P.degree
+        assert len(classes) <= P.degree
         for c, e in classes:
-            assert 1 <= e <= k and 0 <= c < p ** e
+            # the one class (0, 0), every residue, exactly when p^k | P
+            assert (e == 0) == (P.content() % p ** k == 0)
+            assert 0 <= e <= k and 0 <= c < p ** e
             # P(c + p^e t) vanishes mod p^k for every t
             assert all(a % p ** k == 0 for a in P.compose_linear(p ** e, c).coeffs)
 
@@ -383,13 +416,13 @@ class TestTaylorShiftTree:
     def test_nodes_at_most_degree_times_level(self, case):
         P, p, k = case
         with pytest.MonkeyPatch.context() as mp:
-            calls = self.count_roots_mod_p(mp)
+            calls = self.count_root_searches(mp)
             _root_classes(P, p, k)
             _root_classes.cache_clear()
         assert len(calls) <= P.degree * k
 
     def test_simple_roots_close_at_once(self, monkeypatch):
-        calls = self.count_roots_mod_p(monkeypatch)
+        calls = self.count_root_searches(monkeypatch)
         classes = _root_classes((X - 1) * (X - 2) * (X - 3), 7, 2000)
         _root_classes.cache_clear()
         assert sorted(classes) == [(1, 2000), (2, 2000), (3, 2000)]

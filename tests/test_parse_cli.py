@@ -337,6 +337,56 @@ class TestCli:
                                "(x^3-19)*(x^2+x+1)")
         assert code == 0 and json.loads(out)["r_d"] == -2
 
+    def test_rd_skips_cache_lines_that_are_not_utf8(self, capsys, tmp_path):
+        from intersective.cache import poly_key
+        cache = tmp_path / "roots.txt"
+        key = poly_key(X - 1)
+        cache.write_bytes(b"abc\xff 5 1 1 1\n" + f"{key} 5 2 1 1\n".encode()
+                          + b"\xfe\n")
+        code, out, err = run_cli(capsys, "rd", "--d", "5", "--cache", str(cache),
+                                 "x-1")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["r_d"] == -4 and doc["roots"][0]["k"] == 2  # entry served
+
+    def test_rd_cache_entry_that_is_no_root_exit_2(self, capsys, tmp_path):
+        from intersective.cache import poly_key
+        cache = tmp_path / "roots.txt"
+        cache.write_bytes(b"\xff\n" + f"{poly_key(X - 1)} 5 1 2 1\n".encode())
+        code, out, err = run_cli(capsys, "rd", "--d", "5", "--cache", str(cache),
+                                 "x-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "not a root" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["rd", "--d", "5", "x-1"],
+        ["search", "--N", "100", "--d", "6", "--A", "[[1.41421356237]]", "x^3-19"],
+        ["theta-fit", "--Ns", "1024,4096", "--d", "6", "--A", "[[1.41421356237]]",
+         "x^3-19"],
+    ])
+    @pytest.mark.parametrize("where", ["directory", "under_file"])
+    def test_unusable_cache_path_exit_2(self, capsys, tmp_path, argv, where):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / ("file/roots.txt" if where == "under_file" else "")
+        code, out, err = run_cli(capsys, *argv[:-1], "--cache", str(path),
+                                 argv[-1])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    def test_roots_mod_strong_pseudoprime(self, capsys):
+        q = 318665857834031151167461  # 399165290221 * 798330580441
+        code, out, _ = run_cli(capsys, "roots", "--q", str(q), "x^2+1")
+        assert code == 0
+        want = sorted(sympy.sqrt_mod(-1, q, all_roots=True))
+        assert json.loads(out)["roots"] == [str(r) for r in want]
+        assert len(want) == 4
+
+    def test_certify_at_strong_pseudoprime_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "certify", "--p",
+                                 "3317044064679887385961981", "x")
+        assert code == 2 and out == "" and "not prime" in err
+
 
 class TestRepeatedMain:
     """The parser is built once per process; no call leaves state behind."""
