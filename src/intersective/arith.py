@@ -99,25 +99,39 @@ def prime_segments(lo: int, hi: int, d: int = 1, r: int = 0):
     """The primes p = r mod d in [lo, hi] as nonempty sorted int64 arrays, at
     most one per segment of SEGMENT consecutive integers, in increasing order.
 
-    Memory is O(SEGMENT + sqrt(hi)): the primes up to sqrt(hi) that cross
-    off composites come from the same sieve.
+    Only the members of the class are sieved, and segments without one are
+    skipped. Memory is O(SEGMENT/d + sqrt(hi)): the primes up to sqrt(hi)
+    that cross off composites come from the same sieve. hi >= 2^63 does not
+    fit the int64 arrays and is refused here, before anything is sieved.
     """
-    lo = max(lo, 2)
-    if hi < lo:
+    if hi >= 1 << 63:
+        raise ValueError(f"bound {hi} is not below 2^63")
+    return _class_segments(max(lo, 2), hi, d, r)
+
+
+def _class_segments(lo: int, hi: int, d: int, r: int):
+    v = lo + (r - lo) % d  # the first member of each segment
+    if v > hi:
         return
-    base = [p for seg in prime_segments(2, math.isqrt(hi)) for p in seg.tolist()]
-    for seg_lo in range(lo, hi + 1, SEGMENT):
-        seg_hi = min(seg_lo + SEGMENT - 1, hi)
-        flags = np.ones(seg_hi - seg_lo + 1, dtype=bool)
-        for p in base:
-            if p * p > seg_hi:
+    base = [q for seg in prime_segments(2, math.isqrt(hi)) for q in seg.tolist()]
+    # a base prime q steps through the members i with v + i d = 0 mod q;
+    # if q | d it divides every member (step 1, inv 0) when q | r, else none
+    steps = [(q, pow(d, -1, q)) if d % q else (q, 0)
+             for q in base if d % q or r % q == 0]
+    while v <= hi:
+        seg_hi = min(v - (v - lo) % SEGMENT + SEGMENT - 1, hi)
+        flags = np.ones((seg_hi - v) // d + 1, dtype=bool)
+        for q, inv in steps:
+            if q * q > seg_hi:
                 break
-            start = max(p * p, -(-seg_lo // p) * p)
-            flags[start - seg_lo::p] = False
-        ps = np.flatnonzero(flags) + seg_lo
-        ps = ps[ps % d == r % d]
+            i = max(0, -(-(q * q - v) // d))  # the first member >= q^2
+            i += -(v + i * d) * inv % q
+            flags[i::q if inv else 1] = False
+        # one member per segment when d > hi, and numpy needs d < 2^63
+        ps = np.flatnonzero(flags) * min(d, hi) + v
         if ps.size:
             yield ps
+        v += flags.size * d
 
 
 def _pollard_rho(n: int) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 from .arith import crt_pair, factorize, is_prime, valuation
 from .polys import IntPoly, resultant, squarefree_part
 
-DEFAULT_SCAN_LIMIT = 10_000
+DEFAULT_SCAN_LIMIT = 10_000  # below 2^14, as _nonzero_roots needs
 
 KINDS = ("first", "second")  # any root, or a unit root
 
@@ -70,12 +70,16 @@ def _nonzero_roots(Q: IntPoly, p: int) -> set[int]:
     """
     cs = _ptrim([c % p for c in Q.coeffs])
     if p <= DEFAULT_SCAN_LIMIT:
-        # modular Horner over all residues at once (p * p fits in int64)
+        # Horner over all residues at once, reduced every third step: three
+        # steps from a residue stay below p^4 < 2^56 (p < 2^14)
         xs = np.arange(p, dtype=np.int64)
         acc = np.zeros(p, dtype=np.int64)
-        for c in reversed(cs):
-            acc = (acc * xs + c) % p
-        return set(np.flatnonzero(acc == 0).tolist())
+        for i, c in enumerate(reversed(cs), 1):
+            acc *= xs
+            acc += c
+            if i % 3 == 0:
+                acc %= p
+        return set(np.flatnonzero(acc % p == 0).tolist())
     return _roots_cz(cs, p)
 
 

@@ -59,6 +59,35 @@ def test_prime_segments_match_sympy_in_residue_class(lo, hi, d, r):
     assert len({(p - max(lo, 2)) // 64 for p in got}) == len(segments)
 
 
+@given(lo=_ENDS, hi=st.integers(0, 4000), d=st.integers(65, 1500),
+       r=st.integers(-40, 1600))
+@example(lo=2, hi=4000, d=1024, r=1)
+def test_prime_segments_skip_empty_segments(lo, hi, d, r):
+    # d > SEGMENT: most segments hold no member of the class
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "SEGMENT", 64)
+        segments = list(prime_segments(lo, hi, d, r))
+    got = [int(p) for seg in segments for p in seg]
+    assert got == [p for p in sympy.primerange(lo, hi + 1) if (p - r) % d == 0]
+    assert len(segments) == len(got)
+
+
+def test_prime_segments_sparse_class_is_quick():
+    # ten members up to 10^10, 10^9 apart: no walk over empty segments
+    got = [int(p) for seg in prime_segments(2, 10 ** 10, 10 ** 9, 7)
+           for p in seg]
+    assert got == [v for v in range(7, 10 ** 10 + 1, 10 ** 9)
+                   if sympy.isprime(v)]
+    assert [seg.tolist() for seg in prime_segments(10, 40, 10 ** 30, 37)] \
+        == [[37]]
+
+
+def test_prime_segments_refuse_bounds_from_2_63_eagerly():
+    with pytest.raises(ValueError, match="2\\^63"):
+        prime_segments(2, 2 ** 63)  # before the first segment is asked for
+    prime_segments(2, 2 ** 63 - 1)
+
+
 PSI_12 = 318665857834031151167461  # strong pseudoprime to bases 2 to 37
 PSI_13 = 3317044064679887385961981  # strong pseudoprime to bases 2 to 41
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,8 @@ from intersective import (
     weights,
     weyl_bound_eval,
 )
-from intersective.diophantine import MAX_SUM_RANGE, _fracs
+from intersective.diophantine import (MAX_SUM_RANGE, _FIX_ONE, _fixed_sums,
+                                      _fracs)
 
 from helpers import naive_min_frac_search, trial_division_primes
 
@@ -185,6 +187,59 @@ class TestExpSum:
             assert exp_sum(f, w, 1, 3000) == one
             assert weights(w, 3000) == ws
             monkeypatch.undo()
+
+
+EDGE = 64.0 - 2.0 ** -47  # 2^6 - ulp, the largest term exp_sum can meet
+terms = st.one_of(
+    st.floats(-EDGE, EDGE),
+    st.floats(-1e-300, 1e-300),  # subnormals and tiny normals
+    st.sampled_from([0.0, -0.0, EDGE, -EDGE, 5e-324, -5e-324, 2.0 ** -1022,
+                     1.0, -1.0, 2.0 ** -30, 2.0 ** -31, 1 + 2.0 ** -52]))
+
+
+def fixed_sum(blocks) -> float:
+    return sum(_fixed_sums(np.array([b], dtype=float))[0]
+               for b in blocks) / _FIX_ONE
+
+
+class TestFixedSums:
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(terms, max_size=60), data=st.data())
+    def test_equals_fsum_in_any_block_split(self, xs, data):
+        xs = xs + [-x for x in xs[:data.draw(st.integers(0, len(xs)))]]
+        xs = data.draw(st.permutations(xs))  # heavy cancellation
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(xs)), max_size=5)))
+        blocks = [xs[a:b] for a, b in zip([0] + cuts, cuts + [len(xs)])]
+        # bit for bit; an exact zero sum is +0.0, as fsum([]) gives
+        assert fixed_sum(blocks).hex() == (math.fsum(xs) + 0.0).hex()
+
+    @pytest.mark.parametrize("signs", ["+", "-", "+-"])
+    def test_full_block_at_the_term_bound(self, signs):
+        # SEGMENT terms of magnitude 2^6 - ulp: each int64 sum stays < 2^54
+        xs = np.resize([EDGE if s == "+" else -EDGE for s in signs],
+                       arith.SEGMENT)
+        xs[::7] = np.nextafter(xs[::7], 0.0)
+        assert fixed_sum([xs.tolist()]) == math.fsum(xs.tolist())
+        assert fixed_sum([xs.tolist()] * 3) == math.fsum(xs.tolist() * 3)
+
+    @pytest.mark.parametrize("m,b", [(1, 0), (4, 3), (6, 5), (30, 7)])
+    @pytest.mark.parametrize("segment", [64, 97])
+    def test_exp_sum_is_fsum_of_all_terms(self, monkeypatch, m, b, segment):
+        # the terms computed in one piece, with an independent prime test
+        rng = random.Random(f"{m}:{b}:{segment}")
+        monkeypatch.setattr(arith, "SEGMENT", segment)
+        w = WeightSpec(m, b)
+        for _ in range(5):
+            f = RealPoly([rng.uniform(-2, 2) for _ in range(rng.randint(0, 4))])
+            lo, hi = rng.randint(1, 200), rng.randint(200, 2000)
+            ns = np.array([n for n in range(lo, hi + 1)
+                           if sympy.isprime(m * n + b)], dtype=np.int64)
+            powers = [IntPoly.monomial(1, i) for i in range(len(f.coeffs))]
+            theta = 2.0 * math.pi * _fracs([f.coeffs], powers, ns)[0]
+            lams = np.log(m * ns + b)
+            s = exp_sum(f, w, lo, hi)
+            assert s.real == math.fsum((lams * np.cos(theta)).tolist())
+            assert s.imag == math.fsum((lams * np.sin(theta)).tolist())
 
 
 doubles = st.floats(allow_nan=False, allow_infinity=False)

@@ -572,3 +572,15 @@ class TestPrimesStream:
                                  "--r", "2")
         assert (code, out) == (2, "")
         assert err == "error: progression 2 mod 4 is not coprime\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["primes", "--N", "10000000000000000000"],
+        ["primes", "--format", "csv", "--N", str(2 ** 63)],
+        ["expsum", "--f", "[0.5]", "--N", "3", "--m", str(2 ** 62), "--b", "1"],
+    ])
+    def test_bounds_from_2_63_refused(self, capsys, argv):
+        # int64 lanes cannot hold such primes; refused before any output
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bound ") and err.endswith("2^63\n")
+        assert err.count("\n") == 1
