@@ -26,14 +26,10 @@ from .diophantine import (
     WeightSpec,
     exp_sum,
     frac_mul,
-    frac_norm,
     montgomery_witness,
     search_min_frac,
-    sieve_primes,
     simultaneous_approx,
     theta_fit,
-    weight_sum_bounds_check,
-    weights,
     weyl_bound_eval,
 )
 from .modroots import (
@@ -42,7 +38,6 @@ from .modroots import (
     first_rootless_prime,
     lift_roots,
     newton_lift,
-    roots_mod_p,
     roots_mod_q,
 )
 from .parse import ParseError, parse_poly

@@ -138,7 +138,7 @@ def _cmd_roots(args) -> int:
     if args.q is not None:
         if args.k is not None:
             raise ValueError("--k applies only with --p")
-        rs = sorted(roots_mod_q(P, args.q, coprime_only=args.coprime))
+        rs = roots_mod_q(P, args.q)
         modulus = args.q
     else:
         k = 1 if args.k is None else args.k
@@ -148,9 +148,9 @@ def _cmd_roots(args) -> int:
         if limit and args.p > 1 and k * math.log10(args.p) >= limit:
             raise ValueError(f"modulus {args.p}^{k} has more than "
                              f"{limit} digits")
-        rs = sorted(r for r in lift_roots(P, args.p, k)
-                    if not args.coprime or r % args.p)
+        rs = lift_roots(P, args.p, k)
         modulus = args.p ** k
+    rs = sorted(r for r in rs if not args.coprime or math.gcd(r, modulus) == 1)
     _emit(args, {"modulus": str(modulus), "roots": [str(r) for r in rs]},
           (["root"], [[str(r)] for r in rs]))
     return 0

@@ -78,14 +78,6 @@ class SearchResult:
     r_d: int | None = None
 
 
-def frac_norm(x: float) -> float:
-    """Distance from x to the nearest integer, in [0, 1/2]."""
-    if not math.isfinite(x):
-        raise ValueError("frac_norm needs a finite value")
-    f = x % 1.0
-    return min(f, 1.0 - f)
-
-
 def frac_mul(alpha: float, n: int) -> float:
     """Exact fractional part of alpha * n in [0, 1) for float alpha, int n."""
     num, den = alpha.as_integer_ratio()
@@ -143,42 +135,11 @@ def prime_blocks(N: int, progression: tuple[int, int] | None = None):
     return prime_segments(2, N, d, r)
 
 
-def sieve_primes(N: int, progression: tuple[int, int] | None = None) -> list[int]:
-    """Primes <= N, restricted to p = r mod d when a progression is given."""
-    return [p for ps in prime_blocks(N, progression) for p in ps.tolist()]
-
-
 def _weight_blocks(w: WeightSpec, lo: int, hi: int):
     """(n, lambda_{m,b}(n)) over the n in [lo, hi] with mn + b prime, as
     arrays, one pair per sieve segment."""
     for vs in prime_segments(w.m * lo + w.b, w.m * hi + w.b, w.m, w.b):
         yield (vs - w.b) // w.m, np.log(vs)
-
-
-def weights(w: WeightSpec, N: int) -> list[float]:
-    """Vector of lambda_{m,b}(n) for n = 1..N (index n-1)."""
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if N > MAX_SUM_RANGE:
-        raise ValueError(f"N exceeds guard of {MAX_SUM_RANGE}")
-    out = np.zeros(N)
-    for ns, lams in _weight_blocks(w, 1, N):
-        out[ns - 1] = lams
-    return out.tolist()
-
-
-def weight_sum_bounds_check(w: WeightSpec, N: int, L: float) -> tuple[float, float, float]:
-    """Weight sum over n = 1..N next to its bracketing quantities N/m^2, N*m.
-
-    Requires m <= N^(1/L); no implied constant is asserted, the three numbers
-    are returned for inspection.
-    """
-    if L <= 0:
-        raise ValueError("L must be positive")
-    if w.m > N ** (1.0 / L):
-        raise ValueError(f"m = {w.m} exceeds N^(1/L) = {N ** (1.0 / L):.3f}")
-    total = exp_sum(RealPoly(), w, 1, N).real  # e(0) = 1: the weight sum
-    return total, N / w.m ** 2, N * w.m
 
 
 _FIX_BITS, _FIX_LEVELS = 30, 36
@@ -275,8 +236,7 @@ def simultaneous_approx(alphas, Q: int, weights=None) -> tuple[int, list[float]]
         i = int(errs.argmin())
         if errs[i] < best_err:
             best_q, best_err = int(qs[i]), errs[i]
-    errs = [frac_norm(frac_mul(a, best_q)) for a in alphas]
-    return best_q, errs
+    return best_q, _frac_norms(rows, x, np.array([best_q]))[:, 0].tolist()
 
 
 def montgomery_witness(xs, cs, M: int) -> tuple[int, float]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
@@ -55,11 +55,6 @@ class PadicRoot:
         v_dp = k if dfr == 0 else min(valuation(dfr, p), k)
         slack = (v_p_val, v_dp) if v_p_val > 2 * v_dp else None
         return cls(p=p, k=k, r=r, unit=(r % p != 0), slack=slack)
-
-
-def roots_mod_p(P: IntPoly, p: int) -> set[int]:
-    """Exact set of roots of P mod p, refused above MAX_ROOTS members."""
-    return lift_roots(P, p, 1)
 
 
 def _nonzero_roots(Q: IntPoly, p: int) -> set[int]:
@@ -347,7 +342,7 @@ def _root_classes(P: IntPoly, p: int, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def roots_mod_q(P: IntPoly, q: int, coprime_only: bool = False) -> set[int]:
+def roots_mod_q(P: IntPoly, q: int) -> set[int]:
     """Roots of P mod q for any q >= 1, via prime powers and remaindering;
     refused above MAX_ROOTS roots."""
     if q < 1:
@@ -364,10 +359,7 @@ def roots_mod_q(P: IntPoly, q: int, coprime_only: bool = False) -> set[int]:
         rs = _members(classes, p, e)
         combined = [(crt_pair(r0, m0, r, mod), m0 * mod)
                     for (r0, m0) in combined for r in rs]
-    out = {r for r, _ in combined}
-    if coprime_only:
-        out = {r for r in out if gcd(r, q) == 1}
-    return out
+    return {r for r, _ in combined}
 
 
 # -- Newton lifting ----------------------------------------------------------

@@ -7,10 +7,12 @@ paths it is checking.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
 from intersective import IntPoly
 
@@ -61,6 +63,19 @@ def scan_roots(P: IntPoly, modulus: int) -> list[int]:
 def scan_values_mod(values: np.ndarray, q: int) -> list[int]:
     """Roots from precomputed exact values: residues n < q with P(n) = 0 mod q."""
     return np.flatnonzero(values[:q] % q == 0).tolist()
+
+
+def frac_dist(alpha: float, n: int) -> float:
+    """||alpha n||: min(f, 1 - f) for f = (alpha n mod 1) rounded once from
+    the exact rational."""
+    f = float(Fraction(alpha) * n % 1)
+    return min(f, 1.0 - f)
+
+
+def weight_terms(m: int, b: int, lo: int, hi: int) -> list[tuple[int, float]]:
+    """(n, log(mn + b)) for lo <= n <= hi with mn + b prime by sympy."""
+    return [(n, math.log(m * n + b)) for n in range(lo, hi + 1)
+            if sympy.isprime(m * n + b)]
 
 
 def trial_division_primes(n: int) -> list[int]:

@@ -25,12 +25,11 @@ from intersective import (
     roots_mod_q,
     search_min_frac,
     theta_fit,
-    weights,
     weyl_bound_eval,
 )
 from intersective.cli import main
 
-from helpers import naive_min_frac_search
+from helpers import naive_min_frac_search, scan_values_mod, weight_terms
 
 X = IntPoly.x()
 P_CUBIC = (X ** 3 - 19) * (X ** 2 + X + 1)
@@ -131,7 +130,7 @@ def test_criterion_5_modular_root_oracle():
         values = np.array([P.eval(n) for n in range(2000)], dtype=np.int64)
         for q in range(1, 2001):
             got = sorted(roots_mod_q(P, q))
-            want = [0] if q == 1 else np.flatnonzero(values[:q] % q == 0).tolist()
+            want = [0] if q == 1 else scan_values_mod(values, q)
             assert got == want, (P, q)
             checked += 1
     elapsed = time.time() - t0
@@ -256,14 +255,14 @@ def test_criterion_10_exponential_sum_sanity():
         n = rng.randint(10, 3000)
         f = RealPoly([rng.uniform(-3, 3) for _ in range(rng.randint(1, 5))])
         s = exp_sum(f, w, 1, n)
-        wsum = math.fsum(weights(w, n))
+        wsum = math.fsum(lam for _, lam in weight_terms(m, b, 1, n))
         assert abs(s) <= wsum + 1e-9
     # integer coefficients: pure real up to 1e-9 relative
     w = WeightSpec(1, 0)
     for coeffs in ([1.0, -2.0, 3.0], [0.0, 7.0], [5.0, 0.0, 0.0, -11.0]):
         n = 5000
         s = exp_sum(RealPoly(coeffs), w, 1, n)
-        wsum = math.fsum(weights(w, n))
+        wsum = math.fsum(lam for _, lam in weight_terms(1, 0, 1, n))
         assert abs(s.imag) < 1e-9 * wsum
 
     # bound formulas agree with hand-computed evaluations

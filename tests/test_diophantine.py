@@ -8,42 +8,57 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intersective import arith
+from intersective import arith, diophantine
 from intersective import (
     IntPoly,
     RealPoly,
     WeightSpec,
     exp_sum,
     frac_mul,
-    frac_norm,
     montgomery_witness,
     search_min_frac,
-    sieve_primes,
     simultaneous_approx,
     theta_fit,
-    weight_sum_bounds_check,
-    weights,
     weyl_bound_eval,
 )
 from intersective.diophantine import (MAX_SUM_RANGE, _FIX_ONE, _fixed_sums,
-                                      _fracs)
+                                      _fracs, prime_blocks)
 
-from helpers import naive_min_frac_search, trial_division_primes
+from helpers import (frac_dist, naive_min_frac_search, trial_division_primes,
+                     weight_terms)
 
 X = IntPoly.x()
 SQRT2 = math.sqrt(2)
 
 
+def sieved(N, progression=None) -> list[int]:
+    """The primes of prime_blocks, flattened."""
+    return [p for ps in prime_blocks(N, progression) for p in ps.tolist()]
+
+
+def weight_at(w: WeightSpec, n: int) -> float:
+    """lambda_{m,b}(n), the weight sum over the one-term range [n, n]."""
+    return exp_sum(RealPoly(), w, n, n).real
+
+
+def weight_sum(w: WeightSpec, N: int) -> float:
+    """The oracle's weight sum over n = 1..N."""
+    return math.fsum(lam for _, lam in weight_terms(w.m, w.b, 1, N))
+
+
 class TestFracNorm:
+    """||x||, from simultaneous_approx at Q = 1."""
+
     def test_midpoint(self):
-        assert frac_norm(0.5) == 0.5
+        assert simultaneous_approx([0.5], 1) == (1, [0.5])
 
     def test_positive(self):
-        assert frac_norm(2.3) == pytest.approx(0.3)
+        assert simultaneous_approx([2.3], 1)[1] == [pytest.approx(0.3)]
 
     def test_negative_symmetry(self):
-        assert frac_norm(-0.1) == pytest.approx(0.1)
-        assert frac_norm(-2.3) == pytest.approx(frac_norm(2.3))
+        errs = simultaneous_approx([-0.1, -2.3, 2.3], 1)[1]
+        assert errs[0] == pytest.approx(0.1)
+        assert errs[1] == pytest.approx(errs[2])
 
     def test_exact_multiplication(self):
         # alpha * n mod 1 is exact for dyadic alpha
@@ -51,59 +66,70 @@ class TestFracNorm:
         assert frac_mul(0.25, 4) == 0.0
         big = 3 ** 80
         assert frac_mul(SQRT2, big) == float(
-            __import__("fractions").Fraction(SQRT2) * big % 1)
+            Fraction(SQRT2) * big % 1)
 
 
 class TestSievePrimes:
+    """Primes <= N, optionally in a progression, from prime_blocks."""
+
     def test_small_counts(self):
-        assert len(sieve_primes(100)) == 25
-        assert sieve_primes(1) == []
-        assert sieve_primes(2) == [2]
+        assert len(sieved(100)) == 25
+        assert sieved(1) == []
+        assert sieved(2) == [2]
 
     def test_progression(self):
-        assert sieve_primes(50, (4, 1)) == [5, 13, 17, 29, 37, 41]
+        assert sieved(50, (4, 1)) == [5, 13, 17, 29, 37, 41]
 
     def test_progression_with_negative_residue(self):
         # r_d style residues are <= 0 and get normalized mod d
-        assert sieve_primes(50, (4, -3)) == [5, 13, 17, 29, 37, 41]
+        assert sieved(50, (4, -3)) == [5, 13, 17, 29, 37, 41]
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError, match="coprime"):
-            sieve_primes(100, (4, 2))
+            prime_blocks(100, (4, 2))  # before the first block is asked for
 
     def test_matches_trial_division(self):
         n = 10 ** 5
         oracle = trial_division_primes(n)
-        assert sieve_primes(n) == oracle
+        assert sieved(n) == oracle
         for d in range(1, 31):
             for r in range(d):
                 if math.gcd(r, d) != 1:
                     continue
-                assert sieve_primes(n, (d, r)) == \
-                    [p for p in oracle if p % d == r]
+                assert sieved(n, (d, r)) == [p for p in oracle if p % d == r]
 
 
 class TestWeights:
+    """lambda_{m,b}(n) = log(mn + b) at primes mn + b, read off exp_sum of
+    the zero polynomial over one n at a time."""
+
     def test_log_sum_over_primes(self):
-        ws = weights(WeightSpec(1, 0), 10)
-        nonzero = [i + 1 for i, v in enumerate(ws) if v]
-        assert nonzero == [2, 3, 5, 7]
-        assert math.fsum(ws) == pytest.approx(math.log(210), rel=1e-12)
+        w = WeightSpec(1, 0)
+        ws = [weight_at(w, n) for n in range(1, 11)]
+        assert [n for n, v in enumerate(ws, 1) if v] == [2, 3, 5, 7]
+        want = dict(weight_terms(1, 0, 1, 10))
+        assert ws == [pytest.approx(want.get(n, 0.0), rel=1e-15)
+                      for n in range(1, 11)]
+        assert exp_sum(RealPoly(), w, 1, 10).real == \
+            pytest.approx(math.log(210), rel=1e-12)
 
     def test_progression_weights(self):
-        ws = weights(WeightSpec(2, 1), 5)
-        assert [i + 1 for i, v in enumerate(ws) if v] == [1, 2, 3, 5]
+        w = WeightSpec(2, 1)
+        assert [n for n in range(1, 6) if weight_at(w, n)] == \
+            [n for n, _ in weight_terms(2, 1, 1, 5)] == [1, 2, 3, 5]
 
     def test_empty_window(self):
-        assert weights(WeightSpec(25, 1), 3) == [0.0, 0.0, 0.0]
+        w = WeightSpec(25, 1)
+        assert [weight_at(w, n) for n in (1, 2, 3)] == [0.0, 0.0, 0.0]
+        assert exp_sum(RealPoly(), w, 1, 3) == 0
         # 26, 51, 76 are all composite
 
     def test_guard_rejects_before_allocating(self, monkeypatch):
-        def no_alloc(*args, **kwargs):
-            raise AssertionError("weights allocated before its guard")
-        monkeypatch.setattr(np, "zeros", no_alloc)
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("weights sieved before the guard")
+        monkeypatch.setattr(diophantine, "prime_segments", no_sieve)
         with pytest.raises(ValueError, match="guard"):
-            weights(WeightSpec(1, 0), MAX_SUM_RANGE + 1)
+            exp_sum(RealPoly(), WeightSpec(1, 0), 1, MAX_SUM_RANGE + 1)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -113,24 +139,23 @@ class TestWeights:
         WeightSpec(1, 0)
 
     def test_bounds_check(self):
-        total, lower, upper = weight_sum_bounds_check(WeightSpec(1, 0), 10 ** 4, 3.0)
-        assert abs(total - 10 ** 4) < 0.1 * 10 ** 4  # Chebyshev-style
-        assert lower == 10 ** 4 and upper == 10 ** 4
-        total2, lower2, upper2 = weight_sum_bounds_check(WeightSpec(3, 1), 10 ** 4, 8.0)
-        assert lower2 < total2 < upper2
-        assert weight_sum_bounds_check(WeightSpec(1, 0), 2, 1.0)[0] == \
+        # the weight sum over n <= N lies between N / m^2 and N m
+        n = 10 ** 4
+        totals = {}
+        for w in (WeightSpec(1, 0), WeightSpec(3, 1)):
+            totals[w.m] = exp_sum(RealPoly(), w, 1, n).real
+            assert totals[w.m] == pytest.approx(weight_sum(w, n), rel=1e-12)
+        assert abs(totals[1] - n) < 0.1 * n  # Chebyshev-style
+        assert n / 3 ** 2 < totals[3] < n * 3
+        assert exp_sum(RealPoly(), WeightSpec(1, 0), 1, 2).real == \
             pytest.approx(math.log(2))
-
-    def test_bounds_check_precondition(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            weight_sum_bounds_check(WeightSpec(50, 1), 100, 3.0)
 
 
 class TestExpSum:
     def test_integer_coefficients_give_weight_sum(self):
         w = WeightSpec(1, 0)
         s = exp_sum(RealPoly([0.0, 2.0, 3.0]), w, 1, 100)
-        assert s.real == pytest.approx(math.fsum(weights(w, 100)), rel=1e-12)
+        assert s.real == pytest.approx(weight_sum(w, 100), rel=1e-12)
         assert s.imag == 0.0
 
     def test_zero_phase(self):
@@ -152,7 +177,7 @@ class TestExpSum:
             n = rng.randint(10, 2000)
             f = RealPoly([rng.uniform(-2, 2) for _ in range(rng.randint(1, 4))])
             s = exp_sum(f, w, 1, n)
-            assert abs(s) <= math.fsum(weights(w, n)) + 1e-9
+            assert abs(s) <= weight_sum(w, n) + 1e-9
 
     def test_periodicity_mod_integer_polynomials(self):
         # dyadic coefficients keep c + k exact in double precision, so the
@@ -182,10 +207,10 @@ class TestExpSum:
         f = RealPoly([0.0, SQRT2, 0.3])
         for w in (WeightSpec(1, 0), WeightSpec(4, 3)):
             one = exp_sum(f, w, 1, 3000)
-            ws = weights(w, 3000)
+            ws = exp_sum(RealPoly(), w, 1, 3000)
             monkeypatch.setattr(arith, "SEGMENT", 97)
             assert exp_sum(f, w, 1, 3000) == one
-            assert weights(w, 3000) == ws
+            assert exp_sum(RealPoly(), w, 1, 3000) == ws
             monkeypatch.undo()
 
 
@@ -341,7 +366,7 @@ class TestSimultaneousApprox:
         q, errs = simultaneous_approx(alphas, 100)
         # exhaustive scan is its own oracle
         best = min(range(1, 101),
-                   key=lambda t: max(frac_norm(frac_mul(a, t)) for a in alphas))
+                   key=lambda t: max(frac_dist(a, t) for a in alphas))
         assert q == best
         assert max(errs) <= 100 ** -0.5  # Dirichlet sanity bound for k = 2
 
@@ -352,6 +377,21 @@ class TestSimultaneousApprox:
             big_q = rng.randint(10, 200)
             q, errs = simultaneous_approx([alpha], big_q)
             assert errs[0] <= 1.0 / big_q + 1e-12
+
+    def test_errs_equal_fraction_oracle_bit_for_bit(self):
+        # e > 64 (|alpha| < 2^-12), negatives, +-0 and subnormals included
+        rng = random.Random(2024)
+        fixed = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -64, 2.0 ** -65,
+                 -(2.0 ** -65), 1e-30, SQRT2, -SQRT2]
+        for trial in range(60):
+            alphas = [rng.choice(fixed) if trial % 3 == 0 else
+                      rng.uniform(-3, 3) * 2.0 ** -rng.choice([0, 0, 13, 70,
+                                                               400, 1060])
+                      for _ in range(rng.randint(1, 5))]
+            alphas.append(rng.randrange(1, 2 ** 52) * 2.0 ** -1074)
+            q, errs = simultaneous_approx(alphas, rng.randint(1, 1500))
+            want = [frac_dist(a, q) for a in alphas]
+            assert [e.hex() for e in errs] == [e.hex() for e in want]
 
 
 class TestMontgomeryWitness:
@@ -398,8 +438,7 @@ class TestSearchMinFrac:
     def test_sqrt2_square(self):
         res = search_min_frac([X ** 2], [[SQRT2]], 50)
         assert res.p == 13
-        assert res.max_frac == pytest.approx(
-            frac_norm(frac_mul(SQRT2, 169)), abs=1e-15)
+        assert res.max_frac == pytest.approx(frac_dist(SQRT2, 169), abs=1e-15)
         assert res.max_frac == pytest.approx(0.0021, abs=3e-4)
 
     def test_integral_matrix(self):
@@ -447,7 +486,7 @@ class TestSearchMinFrac:
                          search_min_frac(hs, A, 2000, progression=(6, -1)),
                          theta_fit(hs, A, Ns).points,
                          theta_fit(hs, A, Ns, progression=(10, 3)).points,
-                         sieve_primes(2000, (4, 1)),
+                         sieved(2000, (4, 1)),
                          # every prime ties at 1/4: the smallest must win
                          search_min_frac([X ** 2], [[0.25]], 2000, (4, 1)).p])
         assert runs[0] == runs[1] == runs[2]

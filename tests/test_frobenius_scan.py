@@ -19,7 +19,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intersective import IntPoly, arith, check_intersective, sieve_primes
+from intersective import IntPoly, arith, check_intersective
 from intersective.cli import main
 from intersective.modroots import (_lane_frobenius, _pdivmod, _pgcd, _ppowmod,
                                    _ptrim, _rootless_lanes, _roots_cz,
@@ -28,7 +28,7 @@ from intersective.modroots import (_lane_frobenius, _pdivmod, _pgcd, _ppowmod,
 from helpers import scan_roots
 
 X = IntPoly.x()
-PRIMES = sieve_primes(5000)
+PRIMES = list(sympy.primerange(5001))
 SMALL_PRIMES = [p for p in PRIMES if p < 3000]
 
 
@@ -262,7 +262,7 @@ class TestLaneResultant:
     def test_memory_is_linear_in_the_degree(self):
         # an (n, n, L) int64 array for n = 100 and 1024 lanes is 78 MiB
         P = (X ** 50 - 1) * (X ** 50 + 1)
-        block = [p for p in sieve_primes(70_000) if p > 50_000][:1024]
+        block = list(sympy.primerange(50_001, 70_001))[:1024]
         assert len(block) == 1024
         tracemalloc.start()
         try:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -13,11 +14,11 @@ from intersective import (
     certify_padic_root,
     lift_roots,
     newton_lift,
-    roots_mod_p,
     roots_mod_q,
     valuation,
 )
 from intersective import modroots
+from intersective.cli import main
 from intersective.modroots import (
     DEFAULT_SCAN_LIMIT,
     _root_classes,
@@ -35,35 +36,37 @@ P_FIRST_ONLY = (X ** 4 - 5 * X ** 2 + X + 4) * (X ** 3 - 10 * X ** 2 + 9 * X - 1
 
 class TestRootsModP:
     def test_known_roots(self):
-        assert roots_mod_p(X ** 2 + X + 1, 19) == {7, 11}
-        assert roots_mod_p(X ** 2 + 1, 3) == set()
-        assert roots_mod_p(X ** 2 - 13, 17) == {8, 9}
+        assert lift_roots(X ** 2 + X + 1, 19, 1) == {7, 11}
+        assert lift_roots(X ** 2 + 1, 3, 1) == set()
+        assert lift_roots(X ** 2 - 13, 17, 1) == {8, 9}
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError, match="not prime"):
-            roots_mod_p(X, 15)
+            lift_roots(X, 15, 1)
 
     def test_zero_mod_p_gives_all_residues(self):
-        assert roots_mod_p(5 * X + 5, 5) == {0, 1, 2, 3, 4}
+        assert lift_roots(5 * X + 5, 5, 1) == {0, 1, 2, 3, 4}
 
     def test_splitting_path_matches_scan(self):
-        # these p are below the scan limit, so roots_mod_p scans
+        # these p are below the scan limit, so lift_roots scans
         rng = random.Random(99)
         for p in (101, 211, 1009):
             for _ in range(20):
                 f = random_intpoly(rng, 5, 30)
-                assert _roots_cz([c % p for c in f.coeffs], p) == roots_mod_p(f, p)
+                assert _roots_cz([c % p for c in f.coeffs], p) == \
+                    lift_roots(f, p, 1)
 
     def test_splitting_result_deterministic(self):
         # 100003 is above the scan limit and 3 mod 4, so x^2 + 1 has no root
         f = (X - 3) * (X - 70) * (X - 1000) * (X ** 2 + 1)
-        assert roots_mod_p(f, 100003) == roots_mod_p(f, 100003) == {3, 70, 1000}
+        assert lift_roots(f, 100003, 1) == lift_roots(f, 100003, 1) == \
+            {3, 70, 1000}
 
     def test_splitting_finds_zero_root(self):
         # 1000003 is 3 mod 4; 0 is a root of x^p - x, so the gcd keeps it
         p = 1000003
-        assert roots_mod_p(X ** 3 * (X - 5) * (X ** 2 + 1), p) == {0, 5}
-        assert roots_mod_p(7 * X, p) == {0}
+        assert lift_roots(X ** 3 * (X - 5) * (X ** 2 + 1), p, 1) == {0, 5}
+        assert lift_roots(7 * X, p, 1) == {0}
         assert _roots_cz([0, 0, 3], p) == {0}
 
 
@@ -87,14 +90,14 @@ def one_path_cases(draw):
 
 
 class TestOneRootPath:
-    """roots mod p, mod p^1 and mod q = p are one root set."""
+    """roots mod p^1 and mod q = p are one root set, that of the scan."""
 
     @settings(max_examples=200, deadline=None)
     @given(one_path_cases())
     def test_roots_mod_p_lift_and_q_agree(self, case):
         P, p = case
-        rs = roots_mod_p(P, p)
-        assert rs == lift_roots(P, p, 1) == roots_mod_q(P, p)
+        rs = lift_roots(P, p, 1)
+        assert rs == roots_mod_q(P, p)
         assert sorted(rs) == scan_roots(P, p)
 
 
@@ -173,7 +176,7 @@ class TestNewtonLift:
 
 class TestRootsModQ:
     def test_crt_combination(self):
-        rs = roots_mod_q(X ** 2 + X + 1, 57, coprime_only=True)
+        rs = roots_mod_q(X ** 2 + X + 1, 57)
         assert rs == {7, 49}
         assert any(r % 3 == 1 and r % 19 in {7, 11} for r in rs)
 
@@ -181,7 +184,8 @@ class TestRootsModQ:
         assert roots_mod_q(X ** 5 - 3, 1) == {0}
 
     def test_first_kind_only_poly_mod_two(self):
-        assert roots_mod_q(P_FIRST_ONLY, 2, coprime_only=True) == set()
+        # its only root mod 2 is 0, so it has no unit root there
+        assert roots_mod_q(P_FIRST_ONLY, 2) == {0}
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -196,13 +200,19 @@ class TestRootsModQ:
                 want = scan_roots(f, q) if q > 1 else [0]
                 assert got == want, (f, q)
 
-    def test_coprime_filter(self):
+    def test_coprime_filter(self, capsys):
+        # roots --coprime keeps the scanned roots prime to the modulus, with
+        # --q and with --p, --k alike
         rng = random.Random(60)
         for _ in range(10):
             f = random_intpoly(rng, 4, 9)
-            for q in (12, 30, 49, 90):
-                want = {r for r in roots_mod_q(f, q) if math.gcd(r, q) == 1}
-                assert roots_mod_q(f, q, coprime_only=True) == want
+            for q, argv in ((12, ["--q", "12"]), (30, ["--q", "30"]),
+                            (49, ["--q", "49"]), (90, ["--q", "90"]),
+                            (49, ["--p", "7", "--k", "2"]), (5, ["--p", "5"])):
+                assert main(["roots", *argv, "--coprime", str(f)]) == 0
+                want = [str(r) for r in scan_roots(f, q)
+                        if math.gcd(r, q) == 1]
+                assert json.loads(capsys.readouterr().out)["roots"] == want
 
 
 class TestCertify:
@@ -450,9 +460,9 @@ class TestScanLimit:
         for p in primes:
             for _ in range(5):
                 f = random_intpoly(rng, 6, 10 ** 6)
-                assert sorted(roots_mod_p(f, p)) == scan_roots(f, p)
+                assert sorted(lift_roots(f, p, 1)) == scan_roots(f, p)
             f = (X - 5) * (X - p + 1) * (X ** 2 - 4)
-            assert roots_mod_p(f, p) == {2, 5, p - 2, p - 1}
+            assert lift_roots(f, p, 1) == {2, 5, p - 2, p - 1}
 
 
 class TestMaxRoots:
@@ -473,8 +483,8 @@ class TestMaxRoots:
         with pytest.raises(ValueError, match="more than"):
             roots_mod_q(X ** 2, 2 ** 38 * 19 ** 4)  # 2^19 * 19^2 roots
         with pytest.raises(ValueError, match="more than"):
-            roots_mod_p(IntPoly((0, 10 ** 9 + 7)), 10 ** 9 + 7)  # every residue
-        assert roots_mod_p(5 * X + 5, 5) == {0, 1, 2, 3, 4}
+            lift_roots(IntPoly((0, 10 ** 9 + 7)), 10 ** 9 + 7, 1)  # all of F_p
+        assert lift_roots(5 * X + 5, 5, 1) == {0, 1, 2, 3, 4}
 
     def test_bound_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(modroots, "MAX_ROOTS", 8)

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import sympy
 
 from intersective import IntPoly, ParseError, arith, parse_poly
 from intersective.cli import main
+
+from helpers import scan_roots
 
 X = IntPoly.x()
 
@@ -521,6 +524,24 @@ class TestArgumentLimits:
                                "--coprime", "x^2-x")
         assert code == 0
         assert json.loads(out) == {"modulus": "361", "roots": ["1"]}
+
+    @pytest.mark.parametrize("argv,modulus", [
+        (["--q", "57", "x^2+x+1"], 57),
+        (["--p", "19", "--k", "2", "x^2+x+1"], 361),
+        (["--p", "19", "x"], 19),
+        (["--q", "12", "0"], 12),
+    ])
+    def test_roots_coprime_json_and_csv(self, capsys, argv, modulus):
+        # the residue scan, kept where gcd(r, modulus) = 1, in both formats
+        P = parse_poly(argv[-1])
+        want = [str(r) for r in scan_roots(P, modulus)
+                if math.gcd(r, modulus) == 1]
+        code, out, _ = run_cli(capsys, "roots", "--coprime", *argv)
+        assert code == 0
+        assert json.loads(out) == {"modulus": str(modulus), "roots": want}
+        code, out, _ = run_cli(capsys, "roots", "--format", "csv",
+                               "--coprime", *argv)
+        assert code == 0 and out.splitlines() == ["root", *want]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [
