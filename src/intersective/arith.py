@@ -10,15 +10,17 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _MR_BASES = _SMALL_PRIMES[:13]
 _MR_EXACT_BELOW = 3317044064679887385961981
 """The least strong pseudoprime to all of _MR_BASES (Sorenson and Webster)."""
+_MR4_EXACT_BELOW = 3215031751
+"""The least strong pseudoprime to the bases 2, 3, 5 and 7 (Jaeschke)."""
 
 
 def is_prime(n: int) -> bool:
     """Whether n is prime.
 
-    Miller-Rabin to the 13 prime bases 2 to 41, which is exact below
-    _MR_EXACT_BELOW. From there on a strong Lucas test is added, which
-    makes the Baillie-PSW test (Baillie and Wagstaff, Math. Comp. 35,
-    1980): no composite is known to pass it.
+    Miller-Rabin to the bases 2, 3, 5, 7 below _MR4_EXACT_BELOW, else to the
+    13 prime bases 2 to 41, exact below _MR_EXACT_BELOW. From there on a
+    strong Lucas test is added, which makes the Baillie-PSW test (Baillie
+    and Wagstaff, Math. Comp. 35, 1980): no composite is known to pass it.
     """
     if n < 2:
         return False
@@ -28,7 +30,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _MR_BASES if n >= _MR4_EXACT_BELOW else _MR_BASES[:4]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -151,16 +153,14 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"factorization failed for {n}")
 
 
-_NEXT_PRIME_SQ = 53 * 53
-"""A cofactor free of _SMALL_PRIMES and below this is 1 or a prime."""
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, primes ascending."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
+        if p * p > n:  # what is left is 1 or a prime above every key
+            return {**out, n: 1} if n > 1 else out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -169,7 +169,7 @@ def factorize(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if m < _NEXT_PRIME_SQ or is_prime(m):
+        if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)

@@ -32,6 +32,7 @@ from .modroots import PadicRoot
 from .polys import IntPoly
 
 _LINE = re.compile(r"([0-9a-f]+) (\d+) (\d+) (\d+) ([01])")
+_APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,14 +93,19 @@ class RootCache:
         self._mem[key] = (root.k, root.r, root.unit)
         self._roots[(P, p)] = root
         if self.path is not None:
+            line = f"{key[0]} {p} {root.k} {root.r} {int(root.unit)}\n".encode()
             try:
                 try:
-                    fh = self.path.open("a")
+                    fd = os.open(self.path, _APPEND, 0o666)
                 except FileNotFoundError:  # the directory is made on demand
                     self.path.parent.mkdir(parents=True, exist_ok=True)
-                    fh = self.path.open("a")
-                with fh:
-                    fh.write(f"{key[0]} {p} {root.k} {root.r} {int(root.unit)}\n")
+                    fd = os.open(self.path, _APPEND, 0o666)
+                try:
+                    written = os.write(fd, line)
+                finally:
+                    os.close(fd)
             except OSError as exc:
                 raise ValueError(
                     f"cannot write cache {self.path}: {exc.strerror}")
+            if written != len(line):
+                raise ValueError(f"cannot write cache {self.path}: short write")

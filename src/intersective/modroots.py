@@ -65,16 +65,17 @@ def _nonzero_roots(Q: IntPoly, p: int) -> set[int]:
     """
     cs = _ptrim([c % p for c in Q.coeffs])
     if p <= DEFAULT_SCAN_LIMIT:
-        # Horner over all residues at once, reduced every third step: three
-        # steps from a residue stay below p^4 < 2^56 (p < 2^14)
+        # Horner over all residues at once, reduced (by floor division, far
+        # cheaper than numpy's %) every third step but the last: three steps
+        # from a residue stay below p^4 < 2^56 (p < 2^14)
         xs = np.arange(p, dtype=np.int64)
         acc = np.zeros(p, dtype=np.int64)
         for i, c in enumerate(reversed(cs), 1):
             acc *= xs
             acc += c
-            if i % 3 == 0:
-                acc %= p
-        return set(np.flatnonzero(acc % p == 0).tolist())
+            if i % 3 == 0 and i < len(cs):
+                acc -= acc // p * p
+        return set((acc == acc // p * p).nonzero()[0].tolist())
     return _roots_cz(cs, p)
 
 
@@ -216,7 +217,7 @@ def _rootless_lanes(P: IntPoly, block: list[int]) -> np.ndarray:
         c = (a[0] * b - b[0] * a) % ps  # c[0] = 0, and c = 0 where b = 0
         swap = (b[0] != 0) & (d[1] <= d[0])
         g[0] = np.where(swap, b, a)
-        g[1] = np.roll(c, -1, axis=0)
+        g[1, :-1], g[1, -1] = c[1:], 0
         d = np.where(swap, d[::-1], d)
         d[1] -= live
     return d[0] == 0
@@ -255,7 +256,9 @@ def _lane_frobenius(P: IntPoly,
             if (i + 1) % period == 0:
                 c %= ps
         # times x in the lanes whose bit is set; c[2n - 1] is still 0
-        c = np.where((ps >> bit) & 1 == 1, np.roll(c, 1, axis=0), c)
+        odd = (ps >> bit) & 1 == 1
+        c[1:] = np.where(odd, c[:-1], c[1:])
+        c[:1] *= ~odd
         # after the n products of the square, fold j brings a row's count
         # to 3n - j
         for j in range(2 * n - 1, n - 1, -1):

@@ -10,6 +10,7 @@ system after an x -> d*x + r substitution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,13 @@ class IntPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @functools.cached_property
+    def _hash(self) -> int:  # once per object, on first use
+        return hash(self.coeffs)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- constructors ------------------------------------------------------
 

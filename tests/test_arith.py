@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -12,7 +13,8 @@ from intersective.arith import factorize, prime_segments
 
 def test_factorize_matches_sympy_to_20000():
     for n in range(1, 20001):
-        assert factorize(n) == sympy.factorint(n), n
+        got = factorize(n)
+        assert got == sympy.factorint(n) and list(got) == sorted(got), n
 
 
 @pytest.mark.parametrize("n", [
@@ -92,11 +94,53 @@ PSI_12 = 318665857834031151167461  # strong pseudoprime to bases 2 to 37
 PSI_13 = 3317044064679887385961981  # strong pseudoprime to bases 2 to 41
 
 
+# the least strong pseudoprimes to the first 1, 2, 3, 4, 12 and 13 prime bases
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, PSI_12, PSI_13)
+
+
 def test_is_prime_refuses_strong_pseudoprimes():
     assert PSI_12 == 399165290221 * 798330580441
-    assert not arith.is_prime(PSI_12)
-    assert not arith.is_prime(PSI_13)
     assert sympy.isprime(399165290221) and sympy.isprime(798330580441)
+    assert arith._MR4_EXACT_BELOW == 3215031751
+    for n in STRONG_PSEUDOPRIMES:
+        assert not sympy.isprime(n)
+        assert not arith.is_prime(n), n
+
+
+def _chernick(k: int) -> int | None:
+    """(6k + 1)(12k + 1)(18k + 1) when all three factors are prime, which
+    makes it a Carmichael number."""
+    fs = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+    return math.prod(fs) if all(sympy.isprime(f) for f in fs) else None
+
+
+def test_is_prime_refuses_carmichael_numbers():
+    small = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+             41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921]
+    chernick = [n for k in range(1, 400) if (n := _chernick(k))]
+    assert min(chernick) < arith._MR4_EXACT_BELOW < max(chernick)
+    # 3215031751 = 151 * 751 * 28351 is a Carmichael number as well
+    for n in small + chernick + [3215031751]:
+        fs = sympy.factorint(n)
+        assert len(fs) >= 3 and set(fs.values()) == {1}
+        assert all((n - 1) % (q - 1) == 0 for q in fs)  # Korselt
+        assert not arith.is_prime(n), n
+
+
+def test_is_prime_matches_sympy_below_10_5():
+    assert [n for n in range(10 ** 5) if arith.is_prime(n)] == \
+        list(sympy.primerange(10 ** 5))
+
+
+def test_is_prime_matches_sympy_across_the_4_base_bound():
+    rng = random.Random(17)
+    bound = arith._MR4_EXACT_BELOW
+    ns = list(range(bound - 2000, bound + 2000))
+    ns += [rng.randrange(bound - 10 ** 7, bound + 10 ** 7) for _ in range(2000)]
+    ns += [rng.randrange(2 ** 31, 2 ** 34) | 1 for _ in range(3000)]
+    ns += [sympy.prevprime(bound), sympy.nextprime(bound)]
+    for n in ns:
+        assert arith.is_prime(n) == sympy.isprime(n), n
 
 
 def test_factorize_strong_pseudoprime():

@@ -397,6 +397,67 @@ class TestRootCache:
         reloaded = RootCache(path)
         assert reloaded.get(P, 7) == root and reloaded.get(P, 19) is None
 
+    def test_each_put_appends_one_line_that_reads_back(self, tmp_path):
+        from intersective import PadicRoot, newton_lift
+        from intersective.cache import poly_key
+        path = tmp_path / "new" / "roots.txt"
+        P = X ** 2 + X + 1
+        low = PadicRoot.for_poly(P, 19, 1, 7)
+        puts = [(19, low), (7, PadicRoot.for_poly(P, 7, 1, 2)),
+                (19, newton_lift(P, low, 3))]
+        cache = RootCache(path)
+        want = b""
+        for p, root in puts:
+            cache.put(P, p, root)
+            want += f"{poly_key(P)} {p} {root.k} {root.r} {int(root.unit)}\n".encode()
+            assert path.read_bytes() == want
+            reloaded = RootCache(path)  # a restart sees every line so far
+            assert reloaded.get(P, p) == root
+        assert RootCache(path).get(P, 19).k == 3
+        # created with the permissions open(path, "a") would give it
+        reference = tmp_path / "reference"
+        reference.open("a").close()
+        assert path.stat().st_mode == reference.stat().st_mode
+
+    def test_put_closes_its_descriptor(self, tmp_path, monkeypatch):
+        import os
+        from intersective import PadicRoot
+        from intersective import cache as cache_mod
+        opened = []
+        real_open = os.open
+
+        def recording_open(*args):
+            opened.append(real_open(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(cache_mod.os, "open", recording_open)
+        P = X ** 2 + X + 1
+        cache = RootCache(tmp_path / "roots.txt")
+        cache.put(P, 19, PadicRoot.for_poly(P, 19, 1, 7))
+        with monkeypatch.context() as m:
+            m.setattr(cache_mod.os, "write", lambda fd, data: len(data) - 1)
+            with pytest.raises(ValueError, match="cannot write cache .*short"):
+                cache.put(P, 7, PadicRoot.for_poly(P, 7, 1, 2))
+        assert len(opened) == 2
+        for fd in opened:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_write_order_file_bytes(self, tmp_path):
+        """The file make_rd writes for a seeded order of d = 1..400 on
+        {P, xP}, as the bench's rd write pass does, has fixed bytes."""
+        import hashlib
+        order = list(range(1, 401))
+        random.Random("rd:0").shuffle(order)
+        path = tmp_path / "roots.txt"
+        cache = RootCache(path)
+        for d in order:
+            make_rd([P_CUBIC, X * P_CUBIC], d, cache)
+        data = path.read_bytes()
+        assert (len(data), data.count(b"\n")) == (2360, 85)
+        assert hashlib.sha256(data).hexdigest() == (
+            "9c8e254ccb71d7164d3defbbe321012b8a0dded10c4e2b48a8c74e0b650f721f")
+
 
 def _lift_to(P, r0, k):
     from intersective import lift_roots

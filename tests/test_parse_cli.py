@@ -390,6 +390,14 @@ class TestCli:
                                  "3317044064679887385961981", "x")
         assert code == 2 and out == "" and "not prime" in err
 
+    def test_certify_at_least_4_base_pseudoprime_exit_2(self, capsys):
+        # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to 2, 3, 5, 7
+        code, out, err = run_cli(capsys, "certify", "--p", "3215031751", "x")
+        assert code == 2 and out == "" and "not prime" in err
+        for p in (3215031749, 3215031767):  # the primes on either side
+            code, out, _ = run_cli(capsys, "certify", "--p", str(p), "x-2")
+            assert code == 0 and json.loads(out)["p"] == p
+
 
 class TestRepeatedMain:
     """The parser is built once per process; no call leaves state behind."""

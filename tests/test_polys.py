@@ -39,6 +39,33 @@ class TestIntPoly:
         assert X + 1 == IntPoly((1, 1))
         assert X != X + 1
 
+    def test_equal_polys_share_hash_and_dict_key(self):
+        forms = [IntPoly([3, 0, -2]), IntPoly((3, 0, -2)),
+                 IntPoly(c for c in (3, 0, -2)), IntPoly((3, 0, -2, 0, 0)),
+                 3 - 2 * X ** 2]
+        assert len({hash(f) for f in forms}) == 1
+        table = {forms[0]: "P"}
+        for f in forms:
+            assert f == forms[0] and table[f] == "P"
+        assert len(set(forms)) == 1
+
+    def test_copies_keep_equality_and_hash(self):
+        import copy
+        import pickle
+        for p in (X ** 5 - 19 * X ** 2 + 3, IntPoly(()), IntPoly((-4,))):
+            hash(p)  # a copy of an object whose hash is already set
+            for q in (copy.deepcopy(p), copy.copy(p),
+                      pickle.loads(pickle.dumps(p))):
+                assert q == p and hash(q) == hash(p) and {p: 1}[q] == 1
+                assert q.coeffs == p.coeffs and repr(q) == repr(p)
+
+    def test_no_equality_with_other_types(self):
+        assert IntPoly((1,)) != (1,)
+        assert IntPoly((1, 2)) != [1, 2]
+        assert IntPoly((1,)).__eq__((1,)) is NotImplemented
+        assert IntPoly((1,)).__mul__("x") is NotImplemented
+        assert {IntPoly((1,)): 1}.get((1,)) is None
+
     def test_eval(self):
         assert (X ** 2 + X + 1).eval(7) == 57
         p = 3 * X ** 4 - 2 * X + 11
