@@ -14,10 +14,11 @@ interrupted write or one holding bytes that are not UTF-8, are skipped on
 load, and a path that cannot be read or appended to raises ValueError naming
 it. A well-formed entry is checked against its polynomial once per RootCache
 object, on the first get for that (polynomial, prime): an r that is not a
-root, or a wrong unit flag, raises ValueError. Later gets, and gets after a
-put, are served from the verified roots held in memory, keyed by the
-polynomial itself so that a hash collision cannot hand one polynomial's root
-to another. Access within a process is expected to be single-writer.
+root or not reduced mod p^k, or a wrong unit flag, raises ValueError. Later
+gets, and gets after a put, are served from the verified roots held in
+memory, keyed by the polynomial itself so that a hash collision cannot hand
+one polynomial's root to another. Access within a process is expected to be
+single-writer.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class RootCache:
             return None
         k, r, unit = entry
         root = PadicRoot.for_poly(P, p, k, r)
-        if root.unit != unit:
+        if root.r != r or root.unit != unit:  # r must be reduced mod p^k
             raise ValueError("cache entry inconsistent with polynomial")
         self._roots[(P, p)] = root
         return root

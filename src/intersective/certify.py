@@ -19,8 +19,8 @@ from math import gcd
 from .arith import crt_pair, factorize, prime_segments, valuation
 from .cache import RootCache
 from .modroots import (KINDS, SCAN_PRIME_LIMIT, PadicRoot, certify_padic_root,
-                       first_rootless_prime, newton_lift, squarefree_disc)
-from .polys import IntPoly, gcd_primitive, squarefree_part
+                       first_rootless_prime, newton_lift)
+from .polys import IntPoly, gcd_primitive, squarefree_disc, squarefree_part
 
 DEFAULT_SCAN_BOUND = 10_000
 

@@ -226,6 +226,8 @@ def simultaneous_approx(alphas, Q: int, weights=None) -> tuple[int, list[float]]
         weights = [1.0] * len(alphas)
     if len(weights) != len(alphas):
         raise ValueError("weights length must match alphas")
+    if not all(0 <= w < math.inf for w in weights):
+        raise ValueError("weights must be finite and nonnegative")
     rows = [[a] for a in alphas]
     x = [IntPoly.x()]
     scale = np.array(weights, dtype=float)[:, None]

@@ -21,7 +21,7 @@ from math import prod
 import numpy as np
 
 from .arith import crt_pair, factorize, is_prime, valuation
-from .polys import IntPoly, resultant, squarefree_part
+from .polys import IntPoly, squarefree_disc
 
 DEFAULT_SCAN_LIMIT = 10_000  # below 2^14, as _nonzero_roots needs
 
@@ -407,16 +407,6 @@ def newton_lift(P: IntPoly, root: PadicRoot, k2: int) -> PadicRoot:
 
 
 # -- certification -----------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=64)
-def squarefree_disc(P: IntPoly) -> tuple[IntPoly, int]:
-    """The primitive squarefree part P* of P and D = |Res(P*, P*')|, with
-    D = 1 when P* is constant."""
-    pstar = squarefree_part(P)
-    if pstar.degree < 1:
-        return pstar, 1
-    return pstar, abs(resultant(pstar, pstar.derivative()))
 
 
 def certify_padic_root(P: IntPoly, p: int,

@@ -1,11 +1,13 @@
 """Exact arithmetic on integer polynomials.
 
 Everything here works over Z, with no rational arithmetic: Horner
-evaluation, formal derivatives, resultants by the subresultant remainder
-sequence, primitive gcds, squarefree parts, reduction of a family of
-polynomials to a distinct-degree module basis, and the triangular change of
-variables that turns a system of distinct-degree polynomials into a "nice"
-system after an x -> d*x + r substitution.
+evaluation, formal derivatives, reduction of a family of polynomials to a
+distinct-degree module basis, and the triangular change of variables that
+turns a system of distinct-degree polynomials into a "nice" system after an
+x -> d*x + r substitution. One Euclid, the subresultant remainder sequence,
+gives Res(f, g) and a multiple of gcd(f, g) over Q (its last nonzero member)
+to every resultant, gcd and squarefree part; a squarefree input gets D and
+P* from one run.
 """
 
 from __future__ import annotations
@@ -222,15 +224,12 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
 
 
 # ---------------------------------------------------------------------------
-# resultants
+# the subresultant remainder sequence: resultants, gcds, squarefree parts
 
 
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Resultant of f and g via the subresultant remainder sequence.
-
-    Agrees exactly with the Sylvester-matrix determinant; both inputs must be
-    nonzero.
-    """
+def _subresultants(f: IntPoly, g: IntPoly) -> tuple[int, IntPoly]:
+    """Res(f, g) and the last nonzero member of the subresultant remainder
+    sequence of f and g, a multiple of gcd(f, g) over Q."""
     if f.is_zero or g.is_zero:
         raise ValueError("resultant undefined for zero polynomial")
     A, B = f, g
@@ -255,7 +254,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         if delta:
             h = gg ** delta // h ** (delta - 1)
     if B.is_zero:
-        return 0
+        return 0, A
     da = A.degree
     if da == 0:
         hf = 1  # resultant of two constants
@@ -263,7 +262,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         hf, rem = divmod(B.lead ** da, h ** (da - 1))
         if rem:
             raise ArithmeticError("subresultant division not exact")
-    return s * t * hf
+    return s * t * hf, B
 
 
 def _scale_exact(p: IntPoly, div: int) -> IntPoly:
@@ -276,20 +275,19 @@ def _scale_exact(p: IntPoly, div: int) -> IntPoly:
     return IntPoly(out)
 
 
-# ---------------------------------------------------------------------------
-# gcds and squarefree parts
+def _normal(p: IntPoly) -> IntPoly:
+    """Primitive part of a nonzero p, with positive leading coefficient."""
+    p = p.primitive()
+    return -p if p.lead < 0 else p
 
 
-def _gcd2(a: IntPoly, b: IntPoly) -> IntPoly:
-    a = a.primitive()
-    b = b.primitive()
-    while not b.is_zero:
-        if a.degree < b.degree:
-            a, b = b, a
-            continue
-        r = _pseudo_divmod(a, b)[1]
-        a, b = b, r.primitive()
-    return a
+def resultant(f: IntPoly, g: IntPoly) -> int:
+    """Resultant of f and g via the subresultant remainder sequence.
+
+    Agrees exactly with the Sylvester-matrix determinant; both inputs must be
+    nonzero.
+    """
+    return _subresultants(f, g)[0]
 
 
 def gcd_primitive(ps) -> IntPoly:
@@ -297,14 +295,35 @@ def gcd_primitive(ps) -> IntPoly:
     nz = [p for p in ps if not p.is_zero]
     if not nz:
         raise ValueError("gcd of all-zero inputs is undefined")
-    g = nz[0].primitive()
+    g = nz[0]
     for p in nz[1:]:
         if g.degree == 0:
             break
-        g = _gcd2(g, p)
-    if g.lead < 0:
-        g = -g
-    return g
+        g = _subresultants(g, p)[1]
+    return _normal(g)
+
+
+@functools.lru_cache(maxsize=64)
+def squarefree_disc(P: IntPoly) -> tuple[IntPoly, int]:
+    """The primitive squarefree part P* of P, with positive lead, and
+    D = |Res(P*, P*')|, with D = 1 when P* is constant.
+
+    A nonzero Res(pp, pp'), for pp the primitive part of P, is D with P* = pp.
+    On zero, the same sequence gave a multiple of gcd(pp, pp'), and P* is pp
+    divided by it."""
+    if P.is_zero:
+        raise ValueError("squarefree part of zero is undefined")
+    pstar = _normal(P)
+    if pstar.degree < 1:
+        return pstar, 1
+    D, g = _subresultants(pstar, pstar.derivative())
+    if D == 0:
+        out, rem = _pseudo_divmod(pstar, _normal(g))
+        if not rem.is_zero:
+            raise ValueError("inexact polynomial division")
+        pstar = out.primitive()  # the leads of pstar and g are positive
+        D = resultant(pstar, pstar.derivative())
+    return pstar, abs(D)
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
@@ -313,16 +332,7 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     Has the same root set as p over every field of characteristic zero and
     the same roots in each ring of p-adic integers.
     """
-    if p.is_zero:
-        raise ValueError("squarefree part of zero is undefined")
-    pp = p.primitive()
-    g = gcd_primitive([pp, pp.derivative()])
-    out, rem = _pseudo_divmod(pp, g)
-    if not rem.is_zero:
-        raise ValueError("inexact polynomial division")
-    if out.lead < 0:
-        out = -out
-    return out.primitive()
+    return squarefree_disc(p)[0]
 
 
 def delta_factored(factors) -> int:
@@ -335,18 +345,13 @@ def delta_factored(factors) -> int:
     hs = list(factors)
     if not hs or any(h.degree < 1 for h in hs):
         raise ValueError("input not a valid irreducible factorization")
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            if gcd_primitive([hs[i], hs[j]]).degree != 0:
-                raise ValueError("input not a valid irreducible factorization")
-    out = 1
-    for h in hs:
-        # Res(h, h') = 0 exactly when h has a repeated factor
-        disc = resultant(h, h.derivative())
-        if disc == 0:
-            raise ValueError("input not a valid irreducible factorization")
-        out *= disc
-    return out
+    discs = [resultant(h, h.derivative()) for h in hs]
+    # Res(h, h') = 0 exactly when h has a repeated factor, and Res(h, f) = 0
+    # exactly when h and f share one
+    if 0 in discs or any(resultant(h, f) == 0
+                         for i, h in enumerate(hs) for f in hs[i + 1:]):
+        raise ValueError("input not a valid irreducible factorization")
+    return math.prod(discs)
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,16 @@ class TestSimultaneousApprox:
             q, errs = simultaneous_approx([alpha], big_q)
             assert errs[0] <= 1.0 / big_q + 1e-12
 
+    @pytest.mark.parametrize("bad", [-1.0, -0.5, math.inf, math.nan])
+    def test_rejects_negative_or_non_finite_weight(self, bad):
+        # a negative weight would turn the minimum into the worst q
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            simultaneous_approx([0.5, 0.25], 5, [1.0, bad])
+
+    def test_zero_weight_allowed(self):
+        assert simultaneous_approx([0.5, 0.25], 5, [0.0, 1.0]) == (4, [0.0, 0.0])
+        assert simultaneous_approx([0.5], 5, [0.0]) == (1, [0.5])
+
     def test_errs_equal_fraction_oracle_bit_for_bit(self):
         # e > 64 (|alpha| < 2^-12), negatives, +-0 and subnormals included
         rng = random.Random(2024)

@@ -23,8 +23,8 @@ from intersective.modroots import (
     DEFAULT_SCAN_LIMIT,
     _root_classes,
     _roots_cz,
-    squarefree_disc,
 )
+from intersective.polys import squarefree_disc
 
 from helpers import random_intpoly, scan_roots
 

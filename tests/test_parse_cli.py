@@ -296,6 +296,12 @@ class TestCli:
                                "--Q", "10")
         assert code == 2 and "--alphas" in err
 
+    def test_simul_negative_weight_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "simul", "--alphas", "[0.5]",
+                                 "--Q", "5", "--weights", "[-1]")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "nonnegative" in err
+
     def test_montgomery_points_overflow_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "montgomery", "--xs", "[1e400]",
                                "--cs", "[1.0]", "--M", "4")
@@ -360,6 +366,21 @@ class TestCli:
                                  "x-1")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "not a root" in err
+
+    @pytest.mark.parametrize("d", ["19", str(19 ** 6)])
+    def test_rd_cache_entry_not_reduced_exit_2(self, capsys, tmp_path, d):
+        # 133140 is the root of P mod 19^5; 133140 + 19^5 names the same
+        # class but is not reduced, and must not pass the first-get check
+        P = "(x^3-19)*(x^2+x+1)"
+        cache = tmp_path / "roots.txt"
+        code, out, _ = run_cli(capsys, "rd", "--d", "19", "--cache", str(cache), P)
+        assert code == 0 and json.loads(out)["roots"][0]["r"] == "133140"
+        line = cache.read_text()
+        assert line.endswith(" 19 5 133140 1\n")
+        cache.write_text(line.replace(" 133140 ", f" {133140 + 19 ** 5} "))
+        code, out, err = run_cli(capsys, "rd", "--d", d, "--cache", str(cache), P)
+        assert code == 2 and out == ""
+        assert err == "error: cache entry inconsistent with polynomial\n"
 
     @pytest.mark.parametrize("argv", [
         ["rd", "--d", "5", "x-1"],

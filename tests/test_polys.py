@@ -18,6 +18,7 @@ from intersective import (
     resultant,
     squarefree_part,
 )
+from intersective.polys import squarefree_disc
 
 from helpers import random_intpoly, sylvester_resultant
 
@@ -179,6 +180,71 @@ class TestSquarefreePart:
             # sf divides p: the primitive gcd with p is sf itself
             assert gcd_primitive([p, sf]) == sf
             assert gcd_primitive([sf, sf.derivative()]).degree == 0
+
+
+def _normal_sympy(poly: sympy.Poly) -> IntPoly:
+    """A sympy integer polynomial as an IntPoly, primitive with positive lead."""
+    prim = poly.primitive()[1]
+    if prim.LC() < 0:
+        prim = -prim
+    return IntPoly([int(c) for c in reversed(prim.all_coeffs())])
+
+
+_LEADS = (-12, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 9)
+
+
+def _factor(rng: random.Random, max_deg: int) -> IntPoly:
+    """A random factor whose lead is often divisible by 2 or 3."""
+    deg = rng.randint(0, max_deg)
+    return IntPoly([rng.randint(-5, 5) for _ in range(deg)] + [rng.choice(_LEADS)])
+
+
+def _seeded_products(n: int, seed: int):
+    """Seeded products c * A^a * B^b with repeated factors (A^2 B, A^3),
+    content c other than 1, negative leads and constants."""
+    rng = random.Random(seed)
+    shapes = ((1, 1), (2, 1), (3, 0), (2, 2), (1, 0), (0, 0))
+    for i in range(n):
+        a, b = shapes[i % len(shapes)]
+        A, B = _factor(rng, 3 if a < 3 else 2), _factor(rng, 2)
+        c = rng.choice((1, -1, 2, -3, 6, -10))
+        yield c * A ** a * B ** b
+
+
+class TestOneSubresultantSequence:
+    """P*, D and every gcd come from the subresultant sequence; each is
+    checked against an oracle that shares none of its code."""
+
+    def test_squarefree_disc_matches_sympy_and_sylvester(self):
+        x = sympy.symbols("x")
+        repeated = 0
+        for P in _seeded_products(1200, 2718):
+            pstar, D = squarefree_disc(P)
+            assert squarefree_part(P) == pstar
+            if P.degree < 1:
+                assert (pstar, D) == (IntPoly((1,)), 1)
+                continue
+            sym = sympy.Poly(list(reversed(P.coeffs)), x)
+            assert pstar == _normal_sympy(sym.sqf_part())
+            assert D == abs(sylvester_resultant(pstar, pstar.derivative()))
+            repeated += pstar.degree < P.degree
+        assert repeated > 300  # the gcd path is exercised, not only D != 0
+
+    def test_gcd_matches_sympy_with_zero_members(self):
+        x = sympy.symbols("x")
+        rng = random.Random(3141)
+        zero = IntPoly()
+        for _ in range(400):
+            G, A, B = _factor(rng, 2), _factor(rng, 2), _factor(rng, 2)
+            family = [G * A, zero, rng.choice((1, -2, 6)) * G * B ** 2, G ** 2]
+            rng.shuffle(family)
+            family = family[:rng.randint(1, 4)]
+            if all(f.is_zero for f in family):
+                family.append(G)
+            expect = sympy.Poly(0, x)
+            for f in family:
+                expect = expect.gcd(sympy.Poly(list(reversed(f.coeffs)) or [0], x))
+            assert gcd_primitive(family) == _normal_sympy(expect)
 
 
 class TestGcdPrimitive:
