@@ -138,8 +138,6 @@ def _class_segments(lo: int, hi: int, d: int, r: int):
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n (Floyd's cycle finding)."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         x = y = 2
         d = 1

@@ -36,7 +36,7 @@ _LINE = re.compile(r"([0-9a-f]+) (\d+) (\d+) (\d+) ([01])")
 _APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def poly_key(P: IntPoly) -> str:
     """Canonical hash of a polynomial's coefficient sequence."""
     payload = "v1:" + ",".join(str(c) for c in P.coeffs)

@@ -289,21 +289,36 @@ def lift_roots(P: IntPoly, p: int, k: int) -> set[int]:
         raise ValueError("precision k must be >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    classes = _root_classes(P, p, k)
-    if _root_count(classes, p, k) > MAX_ROOTS:
-        raise ValueError(f"more than {MAX_ROOTS} roots mod {p}^{k}")
-    return set(_members(classes, p, k))
+    return _roots(P, {p: k}, f"{p}^{k}")
 
 
-def _root_count(classes, p: int, k: int) -> int:
-    """Roots mod p^k in the classes, or some number above MAX_ROOTS."""
+def roots_mod_q(P: IntPoly, q: int) -> set[int]:
+    """Roots of P mod q for any q >= 1, via prime powers and remaindering;
+    refused above MAX_ROOTS roots."""
+    if q < 1:
+        raise ValueError("modulus q must be a positive integer")
+    return _roots(P, factorize(q), str(q))
+
+
+def _roots(P: IntPoly, parts: dict[int, int], label: str) -> set[int]:
+    """Roots of P mod the product of the p^e in parts {p: e}, counted from
+    the classes and refused above MAX_ROOTS before any is listed."""
     cap = MAX_ROOTS.bit_length()  # p^cap > MAX_ROOTS
-    return sum(p ** min(k - e, cap) for _, e in classes)
-
-
-def _members(classes, p: int, k: int) -> list[int]:
-    """The residues mod p^k in the classes."""
-    return [r for c, e in classes for r in range(c, p ** k, p ** e)]
+    classes = [(p, e, _root_classes(P, p, e)) for p, e in parts.items()]
+    size = prod(sum(p ** min(e - j, cap) for _, j in cs)
+                for p, e, cs in classes)
+    if size > MAX_ROOTS:
+        raise ValueError(f"more than {MAX_ROOTS} roots mod {label}")
+    if not size:
+        return set()
+    roots, mod = [0], 1
+    for p, e, cs in classes:
+        pe = p ** e
+        rs = [r for c, j in cs for r in range(c, pe, p ** j)]
+        roots = rs if mod == 1 else [
+            crt_pair(r0, mod, r, pe) for r0 in roots for r in rs]
+        mod *= pe
+    return set(roots)
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -343,26 +358,6 @@ def _root_classes(P: IntPoly, p: int, k: int) -> tuple[tuple[int, int], ...]:
             else:
                 stack.append((c + pj * t, j + 1, m, Q.compose_linear(p, t)))
     return tuple(out)
-
-
-def roots_mod_q(P: IntPoly, q: int) -> set[int]:
-    """Roots of P mod q for any q >= 1, via prime powers and remaindering;
-    refused above MAX_ROOTS roots."""
-    if q < 1:
-        raise ValueError("modulus q must be a positive integer")
-    parts = [(p, e, _root_classes(P, p, e)) for p, e in factorize(q).items()]
-    size = prod(_root_count(classes, p, e) for p, e, classes in parts)
-    if size > MAX_ROOTS:
-        raise ValueError(f"more than {MAX_ROOTS} roots mod {q}")
-    if not size:
-        return set()
-    combined = [(0, 1)]
-    for p, e, classes in parts:
-        mod = p ** e
-        rs = _members(classes, p, e)
-        combined = [(crt_pair(r0, m0, r, mod), m0 * mod)
-                    for (r0, m0) in combined for r in rs]
-    return {r for r, _ in combined}
 
 
 # -- Newton lifting ----------------------------------------------------------

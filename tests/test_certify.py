@@ -458,6 +458,14 @@ class TestRootCache:
         assert hashlib.sha256(data).hexdigest() == (
             "9c8e254ccb71d7164d3defbbe321012b8a0dded10c4e2b48a8c74e0b650f721f")
 
+    def test_poly_key_memo_is_bounded(self):
+        from intersective.cache import poly_key
+        bound = poly_key.cache_info().maxsize
+        assert bound is not None
+        for n in range(10_000):
+            poly_key(X ** 2 + n)
+        assert poly_key.cache_info().currsize == bound
+
 
 def _lift_to(P, r0, k):
     from intersective import lift_roots

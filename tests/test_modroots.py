@@ -76,29 +76,40 @@ ONE_PATH_PRIMES = [2, 3, 7, 101, 9973, 10007, 100003]
 
 @st.composite
 def one_path_cases(draw):
-    """(P, p) with P the zero polynomial, a multiple of p, or any
-    polynomial, non-monic ones included."""
+    """(P, p, k) with P the zero polynomial, a multiple of p, one with a
+    repeated root, or any polynomial, non-monic ones included."""
     p = draw(st.sampled_from(ONE_PATH_PRIMES))
+    k = draw(st.integers(1, 6))
     cs = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=6))
     P = IntPoly(cs)
-    shape = draw(st.sampled_from(["zero", "multiple", "any"]))
+    shape = draw(st.sampled_from(["zero", "multiple", "repeated", "any"]))
     if shape == "zero":
         P = IntPoly()
     elif shape == "multiple":
         P = p * draw(st.integers(1, 3)) * P
-    return P, p
+    elif shape == "repeated":
+        a = draw(st.integers(-10 ** 6, 10 ** 6))
+        P = (X - a) ** draw(st.integers(2, 3)) * (X ** 0 if P.is_zero else P)
+    return P, p, k
 
 
 class TestOneRootPath:
-    """roots mod p^1 and mod q = p are one root set, that of the scan."""
+    """roots mod p^k and mod q = p^k are one root set, and for k = 1 that
+    of the scan; where one is refused above MAX_ROOTS, so is the other."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(one_path_cases())
     def test_roots_mod_p_lift_and_q_agree(self, case):
-        P, p = case
-        rs = lift_roots(P, p, 1)
-        assert rs == roots_mod_q(P, p)
-        assert sorted(rs) == scan_roots(P, p)
+        P, p, k = case
+        try:
+            rs = lift_roots(P, p, k)
+        except ValueError:
+            with pytest.raises(ValueError, match=f"roots mod {p ** k}$"):
+                roots_mod_q(P, p ** k)
+            return
+        assert rs == roots_mod_q(P, p ** k)
+        if k == 1:
+            assert sorted(rs) == scan_roots(P, p)
 
 
 class TestLiftRoots:
