@@ -40,7 +40,7 @@ from .modroots import (
     newton_lift,
     roots_mod_q,
 )
-from .parse import ParseError, parse_poly
+from .parse import ParseError, parse_factors, parse_poly
 from .polys import (
     NEG_INF,
     IntPoly,

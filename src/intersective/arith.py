@@ -159,9 +159,10 @@ def factorize(n: int) -> dict[int, int]:
     for p in _SMALL_PRIMES:
         if p * p > n:  # what is left is 1 or a prime above every key
             return {**out, n: 1} if n > 1 else out
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
+        if n % p == 0:  # most exponents are 1: valuation only past that
             n //= p
+            out[p] = e = 1 if n % p else 1 + valuation(n, p)
+            n //= p ** (e - 1)
     stack = [n]
     while stack:
         m = stack.pop()
@@ -177,7 +178,9 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def valuation(n: int, p: int) -> int:
-    """Exponent of p in n; n must be nonzero."""
+    """Exponent of p in n; n must be nonzero. Each round divides by p, p^2,
+    p^4, ... while they divide, which takes more than half of the exponent
+    left: O(log v) rounds, not one division per unit of the exponent v."""
     if n == 0:
         raise ValueError("valuation of zero is undefined")
     v = 0
@@ -185,6 +188,11 @@ def valuation(n: int, p: int) -> int:
     while n % p == 0:
         n //= p
         v += 1
+        pk, k = p * p, 2
+        while n % pk == 0:
+            n //= pk
+            v += k
+            pk, k = pk * pk, 2 * k
     return v
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import gcd
+from itertools import dropwhile
+from math import gcd, prod
 
 from .arith import crt_pair, factorize, prime_segments, valuation
 from .cache import RootCache
@@ -63,32 +64,36 @@ def _fails(kind, bound, prime, reason, witnesses, content) -> IntersectivityVerd
                                  content_removed=content)
 
 
-def check_intersective(P: IntPoly, kind: str = "second",
+def check_intersective(P: IntPoly | list[IntPoly], kind: str = "second",
                        bound: int = DEFAULT_SCAN_BOUND) -> IntersectivityVerdict:
     """Certify P as intersective of the given kind, scanning primes <= bound.
 
-    Ramified primes are decided exactly by the p-adic criterion; unramified
-    primes are decided exactly by a mod-p root (for the second kind, roots at
-    unramified primes are automatically coprime since p cannot divide the low
-    coefficient there). Verdicts are conclusive for failure and for every
-    prime actually checked; primes beyond the bound are not certified.
+    P is an IntPoly or a sequence of factors whose product is the
+    polynomial, such as parse_factors gives. Ramified primes are decided
+    exactly by the p-adic criterion; unramified primes are decided exactly
+    by a mod-p root of some factor (for the second kind, roots at
+    unramified primes are automatically coprime since p cannot divide the
+    low coefficient there). Verdicts are conclusive for failure and for
+    every prime actually checked; primes beyond the bound are not certified.
     """
+    factors = [P] if isinstance(P, IntPoly) else list(P)
+    P = prod(factors, start=IntPoly.constant(1))
     if P.degree < 1:
         raise ValueError("polynomial must be nonconstant")
     _check_args(kind, bound)
     content = P.content()
     P0 = P.primitive()
-    pstar, D = squarefree_disc(P0)
+    D = squarefree_disc(P0)[1]
     ramified = set(factorize(D))
-    scan_poly = pstar
+    # P0 has a root mod p exactly when the squarefree part of one of its
+    # factors does
+    family = {squarefree_part(f) for f in factors if f.degree >= 1}
     if kind == "second":
-        nz = next(i for i, c in enumerate(P0.coeffs) if c != 0)
-        low = P0.coeffs[nz]
+        low = next(c for c in P0.coeffs if c != 0)
         ramified |= set(factorize(abs(low)))
-        if nz:
-            # strip the x factor: unit roots of P mod p are the roots of the
-            # cofactor, and 0 must not count as evidence at the scan primes
-            scan_poly = IntPoly(pstar.coeffs[1:])
+        # strip the x-powers: unit roots of P mod p are the roots of the
+        # cofactors, and 0 must not count as evidence at the scan primes
+        family = {IntPoly(dropwhile(lambda c: c == 0, f.coeffs)) for f in family}
 
     witnesses: dict[int, PadicRoot] = {}
     for p in sorted(ramified):
@@ -102,11 +107,13 @@ def check_intersective(P: IntPoly, kind: str = "second",
             return _fails(kind, bound, p, reason, witnesses, content)
         witnesses[p] = root
 
-    # the leading coefficient divides D, so every prime left is unramified;
-    # one sieve segment at a time keeps memory flat in the bound
+    # a prime dividing the lead of a member divides lc(P*), so D, and one
+    # dividing its low coefficient divides that of P0, so every prime left
+    # is unramified; one sieve segment at a time keeps memory flat in the
+    # bound
     for segment in prime_segments(2, bound):
         p = first_rootless_prime(
-            scan_poly, [p for p in segment.tolist() if p not in ramified])
+            family, [p for p in segment.tolist() if p not in ramified])
         if p is not None:
             return _fails(kind, bound, p, f"no root mod {p} (unramified prime)",
                           witnesses, content)

@@ -26,7 +26,7 @@ from . import diophantine as dio
 from .cache import RootCache
 from .modroots import (KINDS, PadicRoot, certify_padic_root, lift_roots,
                        roots_mod_q)
-from .parse import ParseError, parse_poly
+from .parse import ParseError, parse_factors, parse_poly
 from .polys import delta_factored, distinct_degree_basis, nice_transform
 
 # ---------------------------------------------------------------------------
@@ -181,8 +181,9 @@ def _verdict(args, v) -> int:
 
 
 def _cmd_check(args) -> int:
-    P = parse_poly(args.poly)
-    return _verdict(args, certify_mod.check_intersective(P, args.kind, args.bound))
+    factors = parse_factors(args.poly)
+    return _verdict(args, certify_mod.check_intersective(factors, args.kind,
+                                                         args.bound))
 
 
 def _cmd_joint(args) -> int:

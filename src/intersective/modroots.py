@@ -168,34 +168,41 @@ SCAN_PRIME_LIMIT = 1 << 31  # lanes hold products of two residues in int64
 _BLOCK_FIRST, _BLOCK_CAP = 64, 1 << 13
 
 
-def first_rootless_prime(P: IntPoly, primes) -> int | None:
-    """Smallest prime in primes at which P has no root mod p, or None.
+def first_rootless_prime(fs, primes) -> int | None:
+    """Smallest prime in primes at which no member of the family fs has a
+    root mod p, or None; a polynomial P alone is the family [P].
 
-    For p not dividing the leading coefficient lc of P, x -> lc x maps the
-    roots of P mod p onto those of the monic g(y) = lc^(n-1) P(y/lc) over Z,
-    n = deg P, so P has a root mod p exactly when gcd(g, x^p - x) != 1 over
-    F_p. The test runs for a block of primes at once, one int64 lane per
+    For p not dividing the leading coefficient lc of a member P, x -> lc x
+    maps the roots of P mod p onto those of the monic g(y) = lc^(n-1) P(y/lc)
+    over Z, n = deg P, so P has a root mod p exactly when gcd(g, x^p - x) != 1
+    over F_p. The test runs for a block of primes at once, one int64 lane per
     prime and no modular inverse: a square-and-multiply ladder gives x^p mod
     g, and a lane-synchronous Euclid finds the lanes whose gcd is constant.
-    Blocks grow from 64 primes up to a fixed cap, so an early failure stays
-    cheap, and memory is linear in the degree. Every prime must be below
-    2^31 and must not divide lc.
+    Within a block the members run in increasing degree, each over only the
+    lanes where no member before it has a root. Blocks grow from 64 primes
+    up to a fixed cap, so an early failure stays cheap, and memory is linear
+    in the degree. Every prime must be below 2^31 and must not divide the
+    leading coefficient of a member.
     """
+    fs = sorted(fs, key=lambda f: f.degree)
     primes = sorted(primes)
     if primes and primes[-1] >= SCAN_PRIME_LIMIT:
         raise ValueError("primes must be below 2^31")
     start, size = 0, _BLOCK_FIRST
     while start < len(primes):
-        block = primes[start:start + size]
-        rootless = _rootless_lanes(P, block)
-        if rootless.any():
-            return block[int(np.argmax(rootless))]
+        lanes = np.array(primes[start:start + size], dtype=np.int64)
+        for f in fs:
+            if not lanes.size:
+                break
+            lanes = lanes[_rootless_lanes(f, lanes)]
+        if lanes.size:
+            return int(lanes[0])
         start += size
         size = min(4 * size, _BLOCK_CAP)
     return None
 
 
-def _rootless_lanes(P: IntPoly, block: list[int]) -> np.ndarray:
+def _rootless_lanes(P: IntPoly, block) -> np.ndarray:
     """For each prime p of the block, whether gcd(f, x^p - x) = 1 over F_p
     for the monic f of _lane_frobenius, that is whether P has no root mod p."""
     xp, low, ps = _lane_frobenius(P, block)
@@ -224,7 +231,7 @@ def _rootless_lanes(P: IntPoly, block: list[int]) -> np.ndarray:
 
 
 def _lane_frobenius(P: IntPoly,
-                    block: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x^p mod f, x^n mod f and the primes as lanes, for f = g mod each
     prime of the block: g(y) = lc^(n-1) P(y/lc) has coefficient i equal to
     c_i lc^(n-1-i), n = deg P. Row i of an (n, L) lane array holds
@@ -232,7 +239,7 @@ def _lane_frobenius(P: IntPoly,
     the low n from the top down: x^j = x^(j-n) times x^n mod f, each high
     row reduced mod p once before it multiplies.
     """
-    ps = np.array(block, dtype=np.int64)
+    ps = np.asarray(block, dtype=np.int64)
     lc = _lane_residues(P.lead, ps)
     if not lc.all():
         bad = block[int(np.argmin(lc))]
@@ -249,16 +256,19 @@ def _lane_frobenius(P: IntPoly,
         power = power * lc % ps
     acc = np.zeros((n, len(block)), dtype=np.int64)
     acc[:1] = 1  # x^0, with no row at all when f = 1
-    for bit in reversed(range(pmax.bit_length())):
-        c = np.zeros((2 * n, len(block)), dtype=np.int64)
+    bits = pmax.bit_length()
+    odd = (ps >> np.arange(bits)[:, None]) & 1 == 1  # odd[b]: bit b of p
+    for bit in reversed(range(bits)):
+        # rows 1.. of s hold the square; row 0 stays 0, so s[:-1] is the
+        # square times x
+        s = np.zeros((2 * n + 1, len(block)), dtype=np.int64)
+        c = s[1:]
         for i in range(n):
             c[i:i + n] += acc[i] * acc
             if (i + 1) % period == 0:
                 c %= ps
         # times x in the lanes whose bit is set; c[2n - 1] is still 0
-        odd = (ps >> bit) & 1 == 1
-        c[1:] = np.where(odd, c[:-1], c[1:])
-        c[:1] *= ~odd
+        c[:] = np.where(odd[bit], s[:-1], c)
         # after the n products of the square, fold j brings a row's count
         # to 3n - j
         for j in range(2 * n - 1, n - 1, -1):

@@ -2,15 +2,18 @@
 
 Grammar: integer literals, x, binary + - *, ^ with a nonnegative integer
 literal exponent (at most 64), parentheses nested at most MAX_DEPTH deep, and
-a leading unary minus at the start of any (sub)expression. Products are
-expanded exactly, so parsing is a fixed point on the canonical printed form of
-a polynomial. A product or power whose degree would exceed MAX_DEGREE is
+a leading unary minus at the start of any (sub)expression. parse_poly expands
+products exactly, so parsing is a fixed point on the canonical printed form of
+a polynomial; parse_factors stops short of the top-level product and returns
+its multiplicands. A product or power whose degree would exceed MAX_DEGREE is
 rejected before it is expanded.
 """
 
 from __future__ import annotations
 
-from .polys import IntPoly
+import math
+
+from .polys import NEG_INF, IntPoly
 
 MAX_EXPONENT = 64
 MAX_DEGREE = 1024
@@ -65,31 +68,31 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> IntPoly:
-        negate = False
+    def expr(self) -> list[IntPoly]:
+        """The multiplicands of a top-level product; a sum is one factor."""
+        fs = []
         if self.peek()[0] == "-":
             self.take()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
+            fs.append(IntPoly.constant(-1))
+        fs += self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, _ = self.take()
-            rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
+            rhs = _product(self.term())
+            fs = [_product(fs) + rhs if op == "+" else _product(fs) - rhs]
+        return fs
 
-    def term(self) -> IntPoly:
-        acc = self.factor()
+    def term(self) -> list[IntPoly]:
+        fs = self.factor()
         while self.peek()[0] == "*":
             _, _, pos = self.take()
             rhs = self.factor()
-            if acc.degree + rhs.degree > MAX_DEGREE:
+            if _degree(fs) + _degree(rhs) > MAX_DEGREE:
                 raise ParseError(f"degree exceeds {MAX_DEGREE}", pos)
-            acc = acc * rhs
-        return acc
+            fs += rhs
+        return fs
 
-    def factor(self) -> IntPoly:
+    def factor(self) -> list[IntPoly]:
+        """A power f^k as k copies of f."""
         base = self.primary()
         if self.peek()[0] == "^":
             _, _, pos = self.take()
@@ -101,8 +104,8 @@ class _Parser:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", vpos)
             if base.degree * value > MAX_DEGREE:
                 raise ParseError(f"degree exceeds {MAX_DEGREE}", pos)
-            return base ** value
-        return base
+            return [base] * value
+        return [base]
 
     def primary(self) -> IntPoly:
         kind, value, pos = self.take()
@@ -114,7 +117,7 @@ class _Parser:
             self.depth += 1
             if self.depth > MAX_DEPTH:
                 raise ParseError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
-            inner = self.expr()
+            inner = _product(self.expr())
             kind2, _, pos2 = self.take()
             if kind2 != ")":
                 raise ParseError("expected ')'", pos2)
@@ -123,13 +126,29 @@ class _Parser:
         raise ParseError("expected a term", pos)
 
 
-def parse_poly(text: str) -> IntPoly:
-    """Parse an expression like "(x^3-19)*(x^2+x+1)" into an IntPoly."""
+def _product(fs: list[IntPoly]) -> IntPoly:
+    return math.prod(fs, start=IntPoly.constant(1))
+
+
+def _degree(fs: list[IntPoly]) -> float:
+    """Degree of the product of fs, without forming it."""
+    return NEG_INF if any(f.is_zero for f in fs) else sum(f.degree for f in fs)
+
+
+def parse_factors(text: str) -> list[IntPoly]:
+    """The multiplicands of the expression's top-level product, whose
+    product is the expression: "(x^2+1)^2*(x-3)" gives x^2+1 twice and x-3,
+    and a top-level sum such as "x^2-1" is one factor."""
     if not text.strip():
         raise ParseError("empty expression", 1)
     parser = _Parser(_tokenize(text))
-    poly = parser.expr()
+    fs = parser.expr()
     kind, _, pos = parser.peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", pos)
-    return poly
+    return fs
+
+
+def parse_poly(text: str) -> IntPoly:
+    """Parse an expression like "(x^3-19)*(x^2+x+1)" into an IntPoly."""
+    return _product(parse_factors(text))

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from intersective import arith
-from intersective.arith import factorize, prime_segments
+from intersective.arith import factorize, prime_segments, valuation
 
 
 def test_factorize_matches_sympy_to_20000():
@@ -30,6 +31,27 @@ def test_factorize_matches_sympy_to_20000():
 ])
 def test_factorize_matches_sympy_near_shortcut_and_rho(n):
     assert factorize(n) == sympy.factorint(n)
+
+
+def test_high_prime_powers_are_quick():
+    # one division per unit of the exponent made these quadratic in it
+    t0 = time.perf_counter()
+    assert factorize(2 * 5 ** 100000) == {2: 1, 5: 100000}
+    assert time.perf_counter() - t0 < 1.0
+    t0 = time.perf_counter()
+    assert valuation(5 ** 100000 * 7, 5) == 100000
+    assert time.perf_counter() - t0 < 1.0
+
+
+@given(st.integers(1, 10 ** 30), st.sampled_from([2, 3, 5, 7, 1000003]),
+       st.integers(0, 300), st.sampled_from([1, -1]))
+def test_valuation_matches_repeated_division(u, p, v, sign):
+    n = sign * u * p ** v
+    want = 0
+    while n % p == 0:
+        n //= p
+        want += 1
+    assert valuation(sign * u * p ** v, p) == want
 
 
 def test_factorize_rejects_nonpositive():

@@ -1,15 +1,17 @@
 """The batched root-existence scan against brute-force residue scans.
 
-first_rootless_prime decides "P has a root mod p" for whole blocks of
-primes at once: per int64 lane, a Euclid without inverses decides whether
-gcd(f, h) != 1 for f = P mod p and h = (x^p mod f) - x. The oracles here
-evaluate P at every residue instead (helpers.scan_roots), take
+first_rootless_prime decides "some member P of a family has a root mod p"
+for whole blocks of primes at once: per int64 lane, a Euclid without
+inverses decides whether gcd(f, h) != 1 for f = P mod p and h = (x^p mod f)
+- x. The oracles here evaluate P, or the product of the family, at every
+residue instead (helpers.scan_roots), take
 discriminants and squarefree parts from sympy, take that gcd with the
 scalar F_p arithmetic of modroots, split with Cantor-Zassenhaus, and
 use Euler's criterion at primes just below 2^31.
 """
 
 import functools
+import math
 import random
 import time
 import tracemalloc
@@ -45,12 +47,26 @@ prime_sets = st.builds(set.union,
                        st.sets(st.sampled_from([2, 3, 5, 7])))
 
 
+# scan families: repeated members, members with content, x-power members
+# and linear members
+members = st.one_of(
+    polys,
+    st.builds(lambda a, b: IntPoly((b, a)), st.integers(-30, 30).filter(bool),
+              st.integers(-30, 30)),
+    st.builds(lambda f, c: f * c, polys, st.integers(2, 12)),
+    st.builds(lambda f, k: f * X ** k, polys, st.integers(1, 3)),
+)
+families = st.lists(members, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+
+
 class TestFirstRootlessPrime:
     @settings(max_examples=300, deadline=None)
-    @given(polys, prime_sets)
-    def test_matches_brute_force(self, P, primes):
+    @given(families, prime_sets)
+    def test_matches_brute_force(self, fs, primes):
+        P = math.prod(fs, start=IntPoly((1,)))
         primes = [p for p in primes if P.lead % p]
-        assert first_rootless_prime(P, primes) == brute_first_rootless(P, primes)
+        assert first_rootless_prime(fs, primes) == brute_first_rootless(P, primes)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([q for q in PRIMES if q % 8 == 3] + [None]))
@@ -62,29 +78,31 @@ class TestFirstRootlessPrime:
         primes = [p for p in PRIMES if p % 8 != 3] + ([q] if q else [])
         assert len(primes) > 64 + 256 + 64
         assert brute_first_rootless(P, primes) == q
-        assert first_rootless_prime(P, primes) == q
+        assert first_rootless_prime([P], primes) == q
+        assert first_rootless_prime([X ** 2 - 2, X ** 2 + 1], primes) == q
 
     def test_constant_has_no_root(self):
-        assert first_rootless_prime(IntPoly((1,)), [5, 3, 2]) == 2
-        assert first_rootless_prime(IntPoly((-7,)), [13, 11]) == 11
+        assert first_rootless_prime([IntPoly((1,))], [5, 3, 2]) == 2
+        assert first_rootless_prime([IntPoly((-7,))], [13, 11]) == 11
+        assert first_rootless_prime([], [13, 11]) == 11
 
     def test_degree_one_and_primes_below_degree(self):
-        assert first_rootless_prime(3 * X + 1, [2, 5, 7, 101]) is None
-        assert first_rootless_prime(X ** 2 + X + 1, [2, 3]) == 2
-        assert first_rootless_prime(X ** 2 - 1, [2, 3]) is None
+        assert first_rootless_prime([3 * X + 1], [2, 5, 7, 101]) is None
+        assert first_rootless_prime([X ** 2 + X + 1], [2, 3]) == 2
+        assert first_rootless_prime([X ** 2 - 1], [2, 3]) is None
         P = X ** 7 - X + 1
-        assert first_rootless_prime(P, [2, 3, 5]) == brute_first_rootless(P, [2, 3, 5])
+        assert first_rootless_prime([P], [2, 3, 5]) == brute_first_rootless(P, [2, 3, 5])
 
     def test_prime_dividing_leading_coefficient_rejected(self):
         with pytest.raises(ValueError, match="divides the leading coefficient"):
-            first_rootless_prime(6 * X ** 2 + 1, [5, 7, 3])
+            first_rootless_prime([6 * X ** 2 + 1], [5, 7, 3])
 
     def test_primes_beyond_int64_lanes_rejected(self):
         with pytest.raises(ValueError, match="2\\^31"):
-            first_rootless_prime(X + 1, [2, 2 ** 31 + 11])
+            first_rootless_prime([X + 1], [2, 2 ** 31 + 11])
 
     def test_no_primes(self):
-        assert first_rootless_prime(X ** 2 + 1, []) is None
+        assert first_rootless_prime([X ** 2 + 1], []) is None
 
 
 def brute_unramified_failure(P: IntPoly, kind: str, bound: int) -> int | None:
@@ -297,7 +315,7 @@ class TestLanesNearTwoToThe31:
 
     def test_first_rootless_prime_near_the_limit(self):
         want = next(p for p in self.BLOCK if p % 4 == 3)
-        assert first_rootless_prime(X ** 2 + 1, self.BLOCK) == want
+        assert first_rootless_prime([X ** 2 + 1], self.BLOCK) == want
 
 
 def padded(a: list[int], n: int) -> list[int]:

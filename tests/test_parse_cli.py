@@ -1,18 +1,24 @@
 import contextlib
+import importlib.util
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intersective import IntPoly, ParseError, arith, parse_poly
+from intersective import IntPoly, ParseError, arith, parse_factors, parse_poly
 from intersective.cli import main
 
 from helpers import scan_roots
+from test_readme import EXAMPLES
 
 X = IntPoly.x()
 
@@ -78,6 +84,116 @@ class TestParsePoly:
         with pytest.raises(ParseError, match="deeper than 100") as exc:
             parse_poly("(" * 300 + "x" + ")" * 300)
         assert exc.value.position == 101
+
+
+# expressions of the grammar: a leading unary minus on any (sub)expression,
+# sums, products, and powers of integers, x and parenthesized expressions
+expressions = st.deferred(lambda: st.builds(
+    lambda neg, terms, ops: ("-" if neg else "") + terms[0] + "".join(
+        op + t for op, t in zip(ops, terms[1:])),
+    st.booleans(),
+    st.lists(st.lists(factors, min_size=1, max_size=3).map("*".join),
+             min_size=1, max_size=3),
+    st.lists(st.sampled_from("+-"), min_size=2, max_size=2)))
+primaries = st.one_of(st.just("x"), st.integers(0, 30).map(str),
+                      expressions.map("({})".format))
+factors = st.builds(lambda base, k: base if k is None else f"{base}^{k}",
+                    primaries, st.one_of(st.none(), st.integers(0, 3)))
+token_soup = st.lists(st.sampled_from(
+    ["x", "0", "2", "13", "64", "65", "+", "-", "*", "^", "(", ")", " ",
+     "x^64", "(x^32)", "^16", "$", "."]), max_size=12).map("".join)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+class TestParseFactors:
+    @settings(max_examples=100, deadline=None)
+    @given(expressions)
+    def test_product_is_the_expression(self, text):
+        fs = parse_factors(text)
+        P = parse_poly(text)
+        assert math.prod(fs, start=IntPoly((1,))) == P
+        x = sympy.symbols("x")
+        want = sympy.Poly(sympy.sympify(text.replace("^", "**")), x)
+        assert P == IntPoly([int(c) for c in reversed(want.all_coeffs())])
+
+    @settings(max_examples=500, deadline=None)
+    @given(token_soup)
+    def test_errors_keep_message_and_position(self, text):
+        got = outcome(parse_factors, text)
+        if isinstance(got, list):
+            got = math.prod(got, start=IntPoly((1,)))
+        assert got == outcome(parse_poly, text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("x^65", "exponent exceeds 64 at position 3"),
+        ("(x^64)^16*x", "degree exceeds 1024 at position 10"),
+        ("(x+1", "expected ')' at position 5"),
+        ("x+1)", "unexpected trailing input at position 4"),
+        ("  ", "empty expression at position 1"),
+        ("x^-1", "exponent must be a nonnegative integer at position 2"),
+        ("x--1", "expected a term at position 3"),
+        ("-x^64^2", "unexpected trailing input at position 6"),
+    ])
+    def test_error_messages(self, text, message):
+        for parse in (parse_factors, parse_poly):
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert str(exc.value) == message
+
+    def test_top_level_factors(self):
+        assert parse_factors("(x^2+1)^3*(x-3)") == [X ** 2 + 1] * 3 + [X - 3]
+        assert parse_factors("3*x^2*(x^2-2)") == [IntPoly((3,)), X, X, X ** 2 - 2]
+        assert parse_factors("x^2-1") == [X ** 2 - 1]
+        assert parse_factors("-(x-1)*x") == [IntPoly((-1,)), X - 1, X]
+        assert parse_factors("((x-1)*x)") == [X ** 2 - X]
+        assert parse_factors("(x+1)^0") == []
+        assert parse_factors("0*(x^64)^16*(x^64)^16")[0] == IntPoly(())
+
+
+def _bench_check_argvs() -> list[list[str]]:
+    """The argv of every check call of the benchmark, seeds 0 to 5."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [call["argv"] for seed in range(6)
+            for call in workloads.make_inputs("check", seed, "bench")["calls"]]
+
+
+FACTORED_CHECKS = _bench_check_argvs() + [
+    shlex.split(line)[1:]
+    for line, _ in EXAMPLES if line.startswith("intersective check ")] + [
+    ["check", "--kind", kind, "--bound", "3000", "--", expr]
+    for kind in ("first", "second")
+    for expr in ("x^6 - 251*x^4 + 6851*x^2 - 48841",
+                 "-(x^2-13)*(x^2-17)*(x^2-221)",
+                 "(x^2+1)^3*(x-3)",
+                 "3*x^2*(x^2-2)*(x^2-3)*(x^2-6)",
+                 "x*(x^2+x+1)*(x^3-19)")]
+
+
+class TestFactoredCheck:
+    """check scans the top-level factors of P; its output must not depend
+    on whether P is written as a product."""
+
+    @pytest.mark.parametrize("argv", FACTORED_CHECKS,
+                             ids=[f"{i}:{a[-1]}" for i, a in
+                                  enumerate(FACTORED_CHECKS)])
+    def test_factored_and_expanded_agree(self, capsys, argv):
+        expanded = str(parse_poly(argv[-1]))
+        flags = argv[:-1] if "--" in argv else [*argv[:-1], "--"]
+        assert run_cli(capsys, *argv) == run_cli(capsys, *flags, expanded)
+
+    def test_bench_and_readme_inputs_are_products(self):
+        assert len(FACTORED_CHECKS) == 42 + 1 + 10
+        for argv in FACTORED_CHECKS[:43]:
+            assert len(parse_factors(argv[-1])) >= 2
 
 
 def run_cli(capsys, *argv):
