@@ -110,12 +110,15 @@ def check_intersective(P: IntPoly | list[IntPoly], kind: str = "second",
     # a prime dividing the lead of a member divides lc(P*), so D, and one
     # dividing its low coefficient divides that of P0, so every prime left
     # is unramified; one sieve segment at a time keeps memory flat in the
-    # bound
+    # bound. When x divides P0, 0 is a root everywhere, and only unit roots
+    # fail in the second kind
+    need = "unit root" if kind == "second" and not P0.coeffs[0] else "root"
     for segment in prime_segments(2, bound):
         p = first_rootless_prime(
             family, [p for p in segment.tolist() if p not in ramified])
         if p is not None:
-            return _fails(kind, bound, p, f"no root mod {p} (unramified prime)",
+            return _fails(kind, bound, p,
+                          f"no {need} mod {p} (unramified prime)",
                           witnesses, content)
     return IntersectivityVerdict(kind=kind, status="certified_up_to",
                                  scan_bound=bound,

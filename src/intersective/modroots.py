@@ -172,17 +172,19 @@ def first_rootless_prime(fs, primes) -> int | None:
     """Smallest prime in primes at which no member of the family fs has a
     root mod p, or None; a polynomial P alone is the family [P].
 
-    For p not dividing the leading coefficient lc of a member P, x -> lc x
-    maps the roots of P mod p onto those of the monic g(y) = lc^(n-1) P(y/lc)
-    over Z, n = deg P, so P has a root mod p exactly when gcd(g, x^p - x) != 1
-    over F_p. The test runs for a block of primes at once, one int64 lane per
-    prime and no modular inverse: a square-and-multiply ladder gives x^p mod
-    g, and a lane-synchronous Euclid finds the lanes whose gcd is constant.
-    Within a block the members run in increasing degree, each over only the
-    lanes where no member before it has a root. Blocks grow from 64 primes
-    up to a fixed cap, so an early failure stays cheap, and memory is linear
-    in the degree. Every prime must be below 2^31 and must not divide the
-    leading coefficient of a member.
+    The test runs for a block of primes at once, one int64 lane per prime
+    and no modular inverse. A member of degree at most 2 is decided in
+    closed form, a quadratic by Euler's criterion on its discriminant. For
+    a member P of degree n >= 3 and p not dividing its leading coefficient
+    lc, x -> lc x maps the roots of P mod p onto those of the monic
+    g(y) = lc^(n-1) P(y/lc) over Z, so P has a root mod p exactly when
+    gcd(g, x^p - x) != 1 over F_p: a square-and-multiply ladder gives x^p
+    mod g, and a lane-synchronous Euclid finds the lanes whose gcd is
+    constant. Within a block the members run in increasing degree, each
+    over only the lanes where no member before it has a root. Blocks grow
+    from 64 primes up to a fixed cap, so an early failure stays cheap, and
+    memory is linear in the degree. Every prime must be below 2^31 and must
+    not divide the leading coefficient of a member.
     """
     fs = sorted(fs, key=lambda f: f.degree)
     primes = sorted(primes)
@@ -203,8 +205,31 @@ def first_rootless_prime(fs, primes) -> int | None:
 
 
 def _rootless_lanes(P: IntPoly, block) -> np.ndarray:
-    """For each prime p of the block, whether gcd(f, x^p - x) = 1 over F_p
-    for the monic f of _lane_frobenius, that is whether P has no root mod p."""
+    """For each prime p of the block, whether P has no root mod p: in closed
+    form up to degree 2, a x^2 + b x + c by Euler's criterion on b^2 - 4ac
+    at odd p (a ladder over the bits of (p - 1)/2, with products below p^2)
+    and by parity at p = 2; above, whether gcd(f, x^p - x) = 1 over F_p for
+    the monic f of _lane_frobenius."""
+    ps = np.asarray(block, dtype=np.int64)
+    if not (lc := _lane_residues(P.lead, ps)).all():
+        bad = block[int(np.argmin(lc))]
+        raise ValueError(f"{bad} divides the leading coefficient of {P}")
+    if P.degree < 2:
+        return np.full(len(ps), P.degree == 0)  # no root, or one everywhere
+    if P.degree == 2:
+        c, b, a = P.coeffs
+        delta = _lane_residues(b * b - 4 * a * c, ps)
+        # e = (p - 1)/2 at odd p; row i of the factors is delta where bit i
+        # of e, counted from the top, is set, and 1 elsewhere
+        e = ps >> 1
+        bits = np.arange(int(e.max()).bit_length())[::-1, None]
+        acc = np.ones_like(ps)
+        for factor in np.where(e >> bits & 1 == 1, delta, 1):
+            acc *= acc
+            acc %= ps
+            acc *= factor
+            acc %= ps
+        return np.where(ps == 2, c & (a + b + c) & 1 == 1, acc == ps - 1)
     xp, low, ps = _lane_frobenius(P, block)
     n = len(low)
     # g[0] = f and g[1] = h = (x^p mod f) - x, top-aligned: row i of g[k]
@@ -233,17 +258,14 @@ def _rootless_lanes(P: IntPoly, block) -> np.ndarray:
 def _lane_frobenius(P: IntPoly,
                     block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x^p mod f, x^n mod f and the primes as lanes, for f = g mod each
-    prime of the block: g(y) = lc^(n-1) P(y/lc) has coefficient i equal to
-    c_i lc^(n-1-i), n = deg P. Row i of an (n, L) lane array holds
-    coefficient i of all L lanes. A ladder step folds its n high rows into
-    the low n from the top down: x^j = x^(j-n) times x^n mod f, each high
-    row reduced mod p once before it multiplies.
+    prime of the block, none of which may divide lc: g(y) = lc^(n-1) P(y/lc)
+    has coefficient i equal to c_i lc^(n-1-i), n = deg P. Row i of an (n, L)
+    lane array holds coefficient i of all L lanes. A ladder step folds its n
+    high rows into the low n from the top down: x^j = x^(j-n) times x^n mod
+    f, each high row reduced mod p once before it multiplies.
     """
     ps = np.asarray(block, dtype=np.int64)
     lc = _lane_residues(P.lead, ps)
-    if not lc.all():
-        bad = block[int(np.argmin(lc))]
-        raise ValueError(f"{bad} divides the leading coefficient of {P}")
     # a lane adds up to `period` products below p^2 to a residue before
     # reducing, so its values stay below 2^63
     pmax = int(ps.max())

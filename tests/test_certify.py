@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import shutil
@@ -17,6 +18,7 @@ from intersective import (
     check_theorem_condition,
     make_rd,
 )
+from intersective.cli import main
 
 from helpers import scan_roots
 
@@ -87,14 +89,23 @@ class TestCheckIntersective:
         assert v.status == "fails" and v.prime == 5
         assert "unramified" in v.reason
 
-    def test_x_factor_does_not_fake_unit_roots(self):
+    def test_x_factor_does_not_fake_unit_roots(self, capsys):
         # 0 is a root of x*(x^2-13)(x^2-17) mod everything, but the unit
-        # roots mod 5 are the roots of the cofactor, and there are none
-        P = X * (X ** 2 - 13) * (X ** 2 - 17)
-        v = check_intersective(P, "second", 50)
-        assert v.status == "fails" and v.prime == 5
+        # roots mod 5 are the roots of the cofactor, and there are none;
+        # the reason names unit roots, and keeps "no root" without the x
+        Q = (X ** 2 - 13) * (X ** 2 - 17)
+        v = check_intersective(X * Q, "second", 50)
+        assert v.reason == "no unit root mod 5 (unramified prime)"
+        v = check_intersective(Q, "second", 50)
+        assert v.reason == "no root mod 5 (unramified prime)"
         # first kind is fine: 0 works at every unramified prime
-        assert check_intersective(P, "first", 50).certified
+        assert check_intersective(X * Q, "first", 50).certified
+        expr = "x*(x^2+23)*(x^2-3)"
+        assert main(["check", "--kind", "second", "--bound", "100", expr]) == 1
+        assert json.loads(capsys.readouterr().out)["reason"] == \
+            "no unit root mod 5 (unramified prime)"
+        assert main(["roots", "--q", "5", expr]) == 0
+        assert json.loads(capsys.readouterr().out)["roots"] == ["0"]
 
     def test_x_times_second_kind_poly_still_certifies(self):
         v = check_intersective(X * P_CUBIC, "second", 1000)

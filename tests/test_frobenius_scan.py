@@ -1,13 +1,16 @@
 """The batched root-existence scan against brute-force residue scans.
 
 first_rootless_prime decides "some member P of a family has a root mod p"
-for whole blocks of primes at once: per int64 lane, a Euclid without
-inverses decides whether gcd(f, h) != 1 for f = P mod p and h = (x^p mod f)
-- x. The oracles here evaluate P, or the product of the family, at every
-residue instead (helpers.scan_roots), take
-discriminants and squarefree parts from sympy, take that gcd with the
-scalar F_p arithmetic of modroots, split with Cantor-Zassenhaus, and
-use Euler's criterion at primes just below 2^31.
+for whole blocks of primes at once, one int64 lane per prime. A member of
+degree at most 2 is decided in closed form: a constant has no root, a
+linear member has one everywhere, and a quadratic has one exactly when its
+discriminant is a square mod p (Euler's criterion in the lanes; parity at
+p = 2). Above degree 2, a Euclid without inverses decides per lane whether
+gcd(f, h) != 1 for f = P mod p and h = (x^p mod f) - x. The oracles here
+evaluate P, or the product of the family, at every residue instead
+(helpers.scan_roots), take discriminants and squarefree parts from sympy,
+take that gcd with the scalar F_p arithmetic of modroots, split with
+Cantor-Zassenhaus, and use Euler's criterion at primes just below 2^31.
 """
 
 import functools
@@ -21,7 +24,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intersective import IntPoly, arith, check_intersective
+from intersective import IntPoly, arith, check_intersective, modroots
 from intersective.cli import main
 from intersective.modroots import (_lane_frobenius, _pdivmod, _pgcd, _ppowmod,
                                    _ptrim, _rootless_lanes, _roots_cz,
@@ -94,8 +97,11 @@ class TestFirstRootlessPrime:
         assert first_rootless_prime([P], [2, 3, 5]) == brute_first_rootless(P, [2, 3, 5])
 
     def test_prime_dividing_leading_coefficient_rejected(self):
-        with pytest.raises(ValueError, match="divides the leading coefficient"):
-            first_rootless_prime([6 * X ** 2 + 1], [5, 7, 3])
+        # one check, one message, for the closed forms and the ladder alike
+        for P in (IntPoly((6,)), 6 * X + 1, 6 * X ** 2 + 1, 6 * X ** 3 + 1):
+            with pytest.raises(ValueError,
+                               match="^3 divides the leading coefficient"):
+                first_rootless_prime([P], [5, 7, 3])
 
     def test_primes_beyond_int64_lanes_rejected(self):
         with pytest.raises(ValueError, match="2\\^31"):
@@ -127,15 +133,27 @@ def brute_unramified_failure(P: IntPoly, kind: str, bound: int) -> int | None:
     return None
 
 
+# x^2 - a, and a x^2 + b x + c with non-monic a and odd b
+quadratics = st.one_of(
+    st.integers(-40, 40).map(lambda a: X ** 2 - a),
+    st.builds(lambda a, b, c: IntPoly((c, b, a)),
+              st.integers(-6, 6).filter(bool),
+              st.one_of(st.integers(-20, 20).map(lambda t: 2 * t + 1),
+                        st.integers(-40, 40)),
+              st.integers(-40, 40)))
+
+
 class TestCheckAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=3),
+    @given(st.lists(quadratics, min_size=1, max_size=3),
            st.sampled_from(["first", "second"]))
-    def test_products_of_quadratics(self, a, kind):
-        P = IntPoly((1,))
-        for ai in a:
-            P = P * (X ** 2 - ai)
-        v = check_intersective(P, kind, 2000)
+    def test_products_of_quadratics(self, qs, kind):
+        # the factors scan as quadratics, the expanded product by the ladder
+        P = product(qs)
+        v = check_intersective(qs, kind, 2000)
+        expanded = check_intersective(P, kind, 2000)
+        assert (v.status, v.prime, v.reason) == \
+            (expanded.status, expanded.prime, expanded.reason)
         want = brute_unramified_failure(P, kind, 2000)
         if v.status == "fails" and "unramified" not in v.reason:
             return  # decided at a ramified prime, which is scanned first
@@ -316,6 +334,80 @@ class TestLanesNearTwoToThe31:
     def test_first_rootless_prime_near_the_limit(self):
         want = next(p for p in self.BLOCK if p % 4 == 3)
         assert first_rootless_prime([X ** 2 + 1], self.BLOCK) == want
+
+
+def refuse_ladder(P, block):
+    raise AssertionError(f"{P} reached the x^p ladder")
+
+
+# a block of small primes, some near 2^31, and sometimes 2
+quad_blocks = st.builds(lambda small, near, two: sorted({*small, *near, *two}),
+                        kernel_blocks,
+                        st.sets(st.sampled_from(TestLanesNearTwoToThe31.BLOCK),
+                                max_size=4),
+                        st.sets(st.just(2)))
+
+
+@st.composite
+def quadratic_lanes(draw):
+    """a x^2 + b x + c with a, b, c up to 2^70, and a block of primes that
+    do not divide a; c is sometimes chosen so that an odd lane prime
+    divides b^2 - 4ac, or b^2 - 4ac = 0."""
+    small = st.integers(-30, 30)
+    big = st.integers(-2 ** 70, 2 ** 70)
+    any_size = st.one_of(small, big)
+    a = draw(any_size.filter(bool))
+    b = draw(st.one_of(small, big, big.map(lambda t: 2 * t + 1)))
+    c = draw(any_size)
+    block = [p for p in draw(quad_blocks) if a % p]
+    assume(block)
+    odd = [p for p in block if p > 2]
+    how = draw(st.sampled_from(["any", "p | delta", "delta = 0"]))
+    if how == "p | delta" and odd:
+        p = draw(st.sampled_from(odd))
+        c = b * b * pow(4 * a, -1, p) % p + p * draw(small)
+    elif how == "delta = 0":
+        u, v = draw(any_size.filter(bool)), draw(any_size)
+        a, b, c = u * u, 2 * u * v, v * v
+        block = [p for p in block if u % p]
+        assume(block)
+    return IntPoly((c, b, a)), block
+
+
+class TestQuadraticLanes:
+    """Euler's criterion on b^2 - 4ac in the lanes against the scalar gcd
+    and, below 5000, the residue scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(quadratic_lanes())
+    def test_matches_scalar_gcd_and_residue_scan(self, case):
+        P, block = case
+        got = lane_verdicts(P, block)
+        assert got == gcd_verdicts(P, block)
+        for p, rootless in zip(block, got):
+            if p < 5000:
+                assert rootless == (not scan_roots(P, p))
+
+    def test_quads_never_reach_the_ladder(self, monkeypatch):
+        # the README quads and the bench control, each written as its
+        # quadratic factors, against the expanded sextic, which the ladder
+        # scans
+        for fs in ([X ** 2 - 13, X ** 2 - 17, X ** 2 - 221],
+                   [X ** 2 - 193, X ** 2 - 207, X ** 2 - 194]):
+            want = check_intersective(product(fs), "second", 20_000)
+            with monkeypatch.context() as mp:
+                mp.setattr(modroots, "_lane_frobenius", refuse_ladder)
+                got = check_intersective(fs, "second", 20_000)
+            assert (got.status, got.prime, got.reason) == \
+                (want.status, want.prime, want.reason)
+            assert got.ramified_witnesses == want.ramified_witnesses
+        assert want.prime == 17
+        assert want.reason == "no root mod 17 (unramified prime)"
+
+    def test_linear_member_decides_without_the_ladder(self, monkeypatch):
+        monkeypatch.setattr(modroots, "_lane_frobenius", refuse_ladder)
+        fs = [X ** 5 + X + 1, X ** 2 + 1, 2 * X + 1]
+        assert first_rootless_prime(fs, [p for p in PRIMES if p > 2]) is None
 
 
 def padded(a: list[int], n: int) -> list[int]:
