@@ -118,8 +118,12 @@ class TestParseFactors:
         fs = parse_factors(text)
         P = parse_poly(text)
         assert math.prod(fs, start=IntPoly((1,))) == P
+        # Python's grammar over sympy's dense polynomial arithmetic:
+        # sympify expands nested powers symbolically, which took from
+        # seconds to minutes on some drawn expressions
         x = sympy.symbols("x")
-        want = sympy.Poly(sympy.sympify(text.replace("^", "**")), x)
+        want = sympy.Poly(eval(text.replace("^", "**"),
+                               {"__builtins__": {}, "x": sympy.Poly(x)}), x)
         assert P == IntPoly([int(c) for c in reversed(want.all_coeffs())])
 
     @settings(max_examples=500, deadline=None)
