@@ -95,16 +95,24 @@ def _strong_lucas(n: int) -> bool:
 
 SEGMENT = 1 << 18
 """Consecutive integers sieved at once by prime_segments; bounds its memory."""
+TEST_COST = 8
+"""is_prime on a member costs about as much as the sieve's pass over this
+many base primes (2.5-16 us against 1.6-2.4 us, measured single-threaded
+on a 2-core x86-64 host)."""
 
 
 def prime_segments(lo: int, hi: int, d: int = 1, r: int = 0):
     """The primes p = r mod d in [lo, hi] as nonempty sorted int64 arrays, at
     most one per segment of SEGMENT consecutive integers, in increasing order.
 
-    Only the members of the class are sieved, and segments without one are
-    skipped. Memory is O(SEGMENT/d + sqrt(hi)): the primes up to sqrt(hi)
-    that cross off composites come from the same sieve. hi >= 2^63 does not
-    fit the int64 arrays and is refused here, before anything is sieved.
+    Only the members of the class are looked at, and segments without one
+    are skipped. A segment whose members cost less to test one by one with
+    is_prime than to sieve with the primes up to the square root of its end
+    is tested; otherwise it is sieved. The primes up to sqrt(hi) that cross
+    off composites come from the same routine when a segment first sieves,
+    so memory is O(SEGMENT/d), plus O(sqrt(hi)) once a segment sieves.
+    hi >= 2^63 does not fit the int64 arrays and is refused here, before
+    anything is sieved.
     """
     if hi >= 1 << 63:
         raise ValueError(f"bound {hi} is not below 2^63")
@@ -113,27 +121,33 @@ def prime_segments(lo: int, hi: int, d: int = 1, r: int = 0):
 
 def _class_segments(lo: int, hi: int, d: int, r: int):
     v = lo + (r - lo) % d  # the first member of each segment
-    if v > hi:
-        return
-    base = [q for seg in prime_segments(2, math.isqrt(hi)) for q in seg.tolist()]
     # a base prime q steps through the members i with v + i d = 0 mod q;
     # if q | d it divides every member (step 1, inv 0) when q | r, else none
-    steps = [(q, pow(d, -1, q)) if d % q else (q, 0)
-             for q in base if d % q or r % q == 0]
+    steps = None  # listed when a segment first sieves
     while v <= hi:
         seg_hi = min(v - (v - lo) % SEGMENT + SEGMENT - 1, hi)
-        flags = np.ones((seg_hi - v) // d + 1, dtype=bool)
-        for q, inv in steps:
-            if q * q > seg_hi:
-                break
-            i = max(0, -(-(q * q - v) // d))  # the first member >= q^2
-            i += -(v + i * d) * inv % q
-            flags[i::q if inv else 1] = False
-        # one member per segment when d > hi, and numpy needs d < 2^63
-        ps = np.flatnonzero(flags) * min(d, hi) + v
+        count = (seg_hi - v) // d + 1
+        root = math.isqrt(seg_hi)
+        if count * TEST_COST < root / math.log(root + 2):  # ~ pi(root)
+            ps = np.array([m for m in range(v, seg_hi + 1, d) if is_prime(m)],
+                          dtype=np.int64)
+        else:
+            if steps is None:
+                steps = [(q, pow(d, -1, q)) if d % q else (q, 0)
+                         for seg in prime_segments(2, math.isqrt(hi))
+                         for q in seg.tolist() if d % q or r % q == 0]
+            flags = np.ones(count, dtype=bool)
+            for q, inv in steps:
+                if q * q > seg_hi:
+                    break
+                i = max(0, -(-(q * q - v) // d))  # the first member >= q^2
+                i += -(v + i * d) * inv % q
+                flags[i::q if inv else 1] = False
+            # one member per segment when d > hi, and numpy needs d < 2^63
+            ps = np.flatnonzero(flags) * min(d, hi) + v
         if ps.size:
             yield ps
-        v += flags.size * d
+        v += count * d
 
 
 def _pollard_rho(n: int) -> int:

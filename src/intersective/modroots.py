@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 
@@ -174,10 +174,16 @@ def first_rootless_prime(fs, primes) -> int | None:
 
     The test runs for a block of primes at once, one int64 lane per prime
     and no modular inverse. A member of degree at most 2 is decided in
-    closed form, a quadratic by Euler's criterion on its discriminant. For
-    a member P of degree n >= 3 and p not dividing its leading coefficient
-    lc, x -> lc x maps the roots of P mod p onto those of the monic
-    g(y) = lc^(n-1) P(y/lc) over Z, so P has a root mod p exactly when
+    closed form, a quadratic by Euler's criterion on its discriminant. A
+    cubic has a root at every odd p, prime to lc, at which its discriminant
+    is a nonresidue, by Stickelberger's theorem (Swan, Pacific J. Math. 12
+    (1962)): a squarefree f of degree n mod p with r irreducible factors
+    has (disc/p) = (-1)^(n-r), so r = 2 there. Its other lanes (p = 2,
+    p | disc, a residue disc; all of them when disc is a square) and every
+    member of degree 4 or more, whose shape that parity leaves open, take
+    the gcd: for a member P of degree n >= 3 and p not dividing its leading
+    coefficient lc, x -> lc x maps the roots of P mod p onto those of the
+    monic g(y) = lc^(n-1) P(y/lc) over Z, so P has a root mod p exactly when
     gcd(g, x^p - x) != 1 over F_p: a square-and-multiply ladder gives x^p
     mod g, and a lane-synchronous Euclid finds the lanes whose gcd is
     constant. Within a block the members run in increasing degree, each
@@ -207,9 +213,9 @@ def first_rootless_prime(fs, primes) -> int | None:
 def _rootless_lanes(P: IntPoly, block) -> np.ndarray:
     """For each prime p of the block, whether P has no root mod p: in closed
     form up to degree 2, a x^2 + b x + c by Euler's criterion on b^2 - 4ac
-    at odd p (a ladder over the bits of (p - 1)/2, with products below p^2)
-    and by parity at p = 2; above, whether gcd(f, x^p - x) = 1 over F_p for
-    the monic f of _lane_frobenius."""
+    at odd p and by parity at p = 2; above, whether gcd(f, x^p - x) = 1
+    over F_p for the monic f of _lane_frobenius, which a cubic takes only
+    where its discriminant is not a nonresidue mod an odd p."""
     ps = np.asarray(block, dtype=np.int64)
     if not (lc := _lane_residues(P.lead, ps)).all():
         bad = block[int(np.argmin(lc))]
@@ -218,28 +224,54 @@ def _rootless_lanes(P: IntPoly, block) -> np.ndarray:
         return np.full(len(ps), P.degree == 0)  # no root, or one everywhere
     if P.degree == 2:
         c, b, a = P.coeffs
-        delta = _lane_residues(b * b - 4 * a * c, ps)
-        # e = (p - 1)/2 at odd p; row i of the factors is delta where bit i
-        # of e, counted from the top, is set, and 1 elsewhere
-        e = ps >> 1
-        bits = np.arange(int(e.max()).bit_length())[::-1, None]
-        acc = np.ones_like(ps)
-        for factor in np.where(e >> bits & 1 == 1, delta, 1):
-            acc *= acc
-            acc %= ps
-            acc *= factor
-            acc %= ps
-        return np.where(ps == 2, c & (a + b + c) & 1 == 1, acc == ps - 1)
-    xp, low, ps = _lane_frobenius(P, block)
+        return np.where(ps == 2, c & (a + b + c) & 1 == 1,
+                        _nonresidue_lanes(b * b - 4 * a * c, ps))
+    gcd_lanes = np.ones(len(ps), dtype=bool)
+    if P.degree == 3:
+        # Stickelberger: the cubic is (1)(2) mod p where disc is a
+        # nonresidue; a square disc is a residue wherever p does not divide it
+        d, c, b, a = P.coeffs
+        disc = (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
+                - 27 * a * a * d * d + 18 * a * b * c * d)
+        if disc < 0 or isqrt(disc) ** 2 != disc:
+            gcd_lanes = ~_nonresidue_lanes(disc, ps)
+    rootless = np.zeros(len(ps), dtype=bool)
+    if gcd_lanes.any():
+        rootless[gcd_lanes] = _coprime_lanes(P, ps[gcd_lanes])
+    return rootless
+
+
+def _nonresidue_lanes(delta: int, ps: np.ndarray) -> np.ndarray:
+    """For each lane, whether delta is a quadratic nonresidue mod an odd p,
+    by Euler's criterion: delta^((p - 1)/2) = p - 1, from a ladder over the
+    bits of (p - 1)/2 with products below p^2. False at p = 2."""
+    residue = _lane_residues(delta, ps)
+    # row i of the factors is delta where bit i of e = (p - 1)/2, counted
+    # from the top, is set, and 1 elsewhere
+    e = ps >> 1
+    bits = np.arange(int(e.max()).bit_length())[::-1, None]
+    acc = np.ones_like(ps)
+    for factor in np.where(e >> bits & 1 == 1, residue, 1):
+        acc *= acc
+        acc %= ps
+        acc *= factor
+        acc %= ps
+    return (acc == ps - 1) & (ps > 2)
+
+
+def _coprime_lanes(P: IntPoly, ps: np.ndarray) -> np.ndarray:
+    """For each lane, whether gcd(f, x^p - x) = 1 over F_p, for the monic f
+    of _lane_frobenius, by a lane-synchronous Euclid without inverses."""
+    xp, low, ps = _lane_frobenius(P, ps)
     n = len(low)
     # g[0] = f and g[1] = h = (x^p mod f) - x, top-aligned: row i of g[k]
     # is the coefficient of x^(d[k] - i), and the rows past d[k] are zero
-    g = np.zeros((2, n + 1, len(block)), dtype=np.int64)
+    g = np.zeros((2, n + 1, len(ps)), dtype=np.int64)
     g[0, 0] = 1
     g[0, 1:] = -low[::-1] % ps
     g[1, 1:] = xp[::-1]
     g[1, -2:-1] = (g[1, -2:-1] - 1) % ps  # minus x, with no row when n = 0
-    d = np.full((2, len(block)), n)
+    d = np.full((2, len(ps)), n)
     # each step keeps the gcd: a lane shifts out the zero lead of g1, or
     # replaces the one of higher degree by lc(g1) g0 - lc(g0) g1 (leads
     # aligned) and shifts out the cancelled lead; g0 always has a nonzero

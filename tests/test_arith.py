@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersective import arith
@@ -104,6 +104,47 @@ def test_prime_segments_sparse_class_is_quick():
                    if sympy.isprime(v)]
     assert [seg.tolist() for seg in prime_segments(10, 40, 10 ** 30, 37)] \
         == [[37]]
+
+
+
+@pytest.mark.parametrize("cost", [0, 10 ** 9])  # test every member, or sieve
+@settings(max_examples=80, deadline=None)
+@given(lo=st.integers(-3, 10 ** 9), span=st.integers(0, 3000),
+       d=st.one_of(st.integers(1, 40), st.integers(65, 5000)),
+       r=st.integers(-40, 5000))
+@example(lo=2, span=700, d=1, r=0)
+@example(lo=10 ** 9 - 1000, span=3000, d=6, r=5)
+def test_tested_and_sieved_segments_match_sympy(cost, lo, span, d, r):
+    hi = lo + span
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "SEGMENT", 64)
+        mp.setattr(arith, "TEST_COST", cost)
+        segments = list(prime_segments(lo, hi, d, r))
+    for seg in segments:
+        assert seg.size and seg.dtype == np.int64
+        assert (np.diff(seg) > 0).all()
+    got = [int(p) for seg in segments for p in seg]
+    start = max(lo, 2)
+    assert got == [v for v in range(start + (r - start) % d, hi + 1, d)
+                   if sympy.isprime(v)]
+    assert len({(p - start) // 64 for p in got}) == len(segments)
+
+
+def test_sparse_classes_cost_their_members():
+    # one member below 2^63, and the class 1 mod 10^12 to 10^14 that expsum
+    # --m 10^12 --N 100 weighs; sieving lists the primes to 3e9 and 1e7
+    t0 = time.perf_counter()
+    assert list(prime_segments(2, 2 ** 63 - 1, 2 ** 63 - 2, 1)) == []
+    got = [int(p) for seg in prime_segments(10 ** 12 + 1, 10 ** 14 + 1,
+                                            10 ** 12, 1) for p in seg]
+    assert time.perf_counter() - t0 < 1.0
+    assert got == [v for v in range(10 ** 12 + 1, 10 ** 14 + 2, 10 ** 12)
+                   if sympy.isprime(v)]
+    # the bench classes hold tens of thousands of members per segment
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "is_prime", None)
+        assert sum(seg.size for seg in prime_segments(2, 1 << 18, 6, 1)) == \
+            sum(1 for v in range(7, (1 << 18) + 1, 6) if sympy.isprime(v))
 
 
 def test_prime_segments_refuse_bounds_from_2_63_eagerly():

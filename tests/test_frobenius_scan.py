@@ -5,11 +5,18 @@ for whole blocks of primes at once, one int64 lane per prime. A member of
 degree at most 2 is decided in closed form: a constant has no root, a
 linear member has one everywhere, and a quadratic has one exactly when its
 discriminant is a square mod p (Euler's criterion in the lanes; parity at
-p = 2). Above degree 2, a Euclid without inverses decides per lane whether
-gcd(f, h) != 1 for f = P mod p and h = (x^p mod f) - x. The oracles here
-evaluate P, or the product of the family, at every residue instead
-(helpers.scan_roots), take discriminants and squarefree parts from sympy,
-take that gcd with the scalar F_p arithmetic of modroots, split with
+p = 2). A cubic has a root at every odd p, prime to its leading
+coefficient and its discriminant, at which the discriminant is a
+nonresidue (Stickelberger's theorem, after Swan, Pacific J. Math. 12
+(1962): (disc/p) = (-1)^(n-r) for a squarefree f mod p of degree n with r
+irreducible factors); a square discriminant skips that step, and from
+degree 4 on the parity of r leaves the shape open. Every other lane of
+degree 3 and up goes to a Euclid without inverses, which decides whether
+gcd(f, h) != 1 for f = P mod p and h = (x^p mod f) - x. The cubic marks are
+checked against that Euclid alone, with the marking step patched out. The
+oracles here evaluate P, or the product of the family, at every residue
+instead (helpers.scan_roots), take discriminants and squarefree parts from
+sympy, take that gcd with the scalar F_p arithmetic of modroots, split with
 Cantor-Zassenhaus, and use Euler's criterion at primes just below 2^31.
 """
 
@@ -19,6 +26,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings
@@ -29,6 +37,7 @@ from intersective.cli import main
 from intersective.modroots import (_lane_frobenius, _pdivmod, _pgcd, _ppowmod,
                                    _ptrim, _rootless_lanes, _roots_cz,
                                    first_rootless_prime)
+from intersective.parse import parse_factors
 
 from helpers import scan_roots
 
@@ -408,6 +417,107 @@ class TestQuadraticLanes:
         monkeypatch.setattr(modroots, "_lane_frobenius", refuse_ladder)
         fs = [X ** 5 + X + 1, X ** 2 + 1, 2 * X + 1]
         assert first_rootless_prime(fs, [p for p in PRIMES if p > 2]) is None
+
+
+def mark_nothing(delta, ps):
+    return np.zeros(len(ps), dtype=bool)
+
+
+# discriminants 81 and 49: cyclic cubics, a square discriminant at every p
+SQUARE_DISC_CUBICS = [X ** 3 - 3 * X + 1, X ** 3 - 7 * X + 7]
+# p = 3 and lanes near 2^31 next to the kernel blocks, and sometimes 2
+cubic_blocks = st.builds(lambda small, near, extra: sorted({*small, *near, *extra}),
+                         kernel_blocks,
+                         st.sets(st.sampled_from(TestLanesNearTwoToThe31.BLOCK),
+                                 max_size=4),
+                         st.sets(st.sampled_from([2, 3])))
+
+
+@st.composite
+def cubic_lanes(draw):
+    """a x^3 + b x^2 + c x + d with coefficients up to 2^70, and a block of
+    primes that do not divide a. Some cubics have a square discriminant (a
+    shifted, scaled cyclic cubic), discriminant 0 (a repeated root), or a
+    double root mod an odd lane prime p, so that p divides the
+    discriminant."""
+    small = st.integers(-30, 30)
+    any_size = st.one_of(small, st.integers(-2 ** 70, 2 ** 70))
+    block = draw(cubic_blocks)
+    how = draw(st.sampled_from(["any", "square", "zero", "p | disc"]))
+    if how == "square":
+        t, u = draw(any_size), draw(any_size.filter(bool))
+        P = u * draw(st.sampled_from(SQUARE_DISC_CUBICS)).compose_linear(1, t)
+    elif how == "zero":
+        r, s, u = draw(any_size), draw(any_size), draw(any_size.filter(bool))
+        P = u * (X - r) ** 2 * (X - s)
+    elif how == "p | disc" and [p for p in block if p > 2]:
+        p = draw(st.sampled_from([p for p in block if p > 2]))
+        r, s, a = draw(small), draw(small), draw(small.filter(lambda a: a % p))
+        P = a * (X - r) ** 2 * (X - s) + p * IntPoly(
+            draw(st.lists(any_size, min_size=4, max_size=4)))
+    else:
+        P = IntPoly(draw(st.lists(any_size, min_size=3, max_size=3))
+                    + [draw(any_size.filter(bool))])
+    assume(P.degree == 3)
+    block = [p for p in block if P.lead % p]
+    assume(block)
+    return P, block
+
+
+class TestCubicLanes:
+    """Stickelberger's marks on the cubic lanes against the x^p ladder
+    alone and, below 5000, the residue scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cubic_lanes())
+    def test_matches_ladder_alone_and_residue_scan(self, case):
+        P, block = case
+        got = lane_verdicts(P, block)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modroots, "_nonresidue_lanes", mark_nothing)
+            assert got == lane_verdicts(P, block)
+        for p, rootless in zip(block, got):
+            if p < 5000:
+                assert rootless == (not scan_roots(P, p))
+
+    def test_square_discriminant_goes_to_the_ladder(self, monkeypatch):
+        # x^3 - 3x + 1 is irreducible mod p = 2, 5, 7 mod 9, rootless there
+        block = [p for p in PRIMES if p != 3][:200]
+        calls = []
+        monkeypatch.setattr(modroots, "_nonresidue_lanes",
+                            lambda *args: calls.append(args))
+        assert lane_verdicts(SQUARE_DISC_CUBICS[0], block) == \
+            [p % 9 in (2, 4, 5, 7) for p in block]
+        assert not calls
+
+    def test_readme_cubic_never_reaches_the_ladder(self, monkeypatch):
+        # x^2 + x + 1 has a root mod p = 1 mod 3, and at p = 2 mod 3 the
+        # discriminant -3^3 19^2 of x^3 - 19 is a nonresidue; 2, 3 and 19
+        # are ramified. The expanded quintic goes through the ladder
+        for text in ("(x^3-19)*(x^2+x+1)",
+                     "((x+37)^3-19)*((x+37)^2+(x+37)+1)"):
+            fs = parse_factors(text)
+            for kind in ("first", "second"):
+                want = check_intersective(product(fs), kind, 20_000)
+                with monkeypatch.context() as mp:
+                    mp.setattr(modroots, "_lane_frobenius", refuse_ladder)
+                    got = check_intersective(fs, kind, 20_000)
+                assert (got.status, got.prime, got.reason) == \
+                    (want.status, want.prime, want.reason)
+                assert got.ramified_witnesses == want.ramified_witnesses
+        assert check_intersective(parse_factors("(x^3-19)*(x^2+x+1)"),
+                                  "second", 20_000).certified
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(cubic_lanes().map(lambda case: case[0]),
+                              quadratic_lanes().map(lambda case: case[0])),
+                    min_size=1, max_size=4),
+           prime_sets)
+    def test_mixed_families_match_brute_force(self, fs, primes):
+        P = product(fs)
+        primes = [p for p in primes if P.lead % p]
+        assert first_rootless_prime(fs, primes) == \
+            brute_first_rootless(P, primes)
 
 
 def padded(a: list[int], n: int) -> list[int]:
