@@ -10,15 +10,15 @@ text file, one entry per line:
 
 Later lines for the same (poly-hash, p) pair supersede earlier ones at
 higher precision. Lines of any other shape, such as one torn by an
-interrupted write or one holding bytes that are not UTF-8, are skipped on
-load, and a path that cannot be read or appended to raises ValueError naming
-it. A well-formed entry is checked against its polynomial once per RootCache
-object, on the first get for that (polynomial, prime): an r that is not a
-root or not reduced mod p^k, or a wrong unit flag, raises ValueError. Later
-gets, and gets after a put, are served from the verified roots held in
-memory, keyed by the polynomial itself so that a hash collision cannot hand
-one polynomial's root to another. Access within a process is expected to be
-single-writer.
+interrupted write, one holding bytes that are not UTF-8 or one with digits
+other than 0-9, are skipped on load, and a path that cannot be read or
+appended to raises ValueError naming it. A well-formed entry is checked
+against its polynomial once per RootCache object, on the first get for that
+(polynomial, prime): an r that is not a root or not reduced mod p^k, or a
+wrong unit flag, raises ValueError. Later gets, and gets after a put, are
+served from the verified roots held in memory, keyed by the polynomial
+itself so that a hash collision cannot hand one polynomial's root to
+another. Access within a process is expected to be single-writer.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 from .modroots import PadicRoot
 from .polys import IntPoly
 
-_LINE = re.compile(r"([0-9a-f]+) (\d+) (\d+) (\d+) ([01])")
+_LINE = re.compile(r"([0-9a-f]+) ([0-9]+) ([0-9]+) ([0-9]+) ([01])")
 _APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
 
 

@@ -102,9 +102,8 @@ def _json_matrix(text: str) -> list[list[float]]:
 
 
 def _cmd_delta(args) -> int:
-    factors = [parse_poly(s) for s in args.polys]
-    value = delta_factored(factors)
-    _emit(args, {"delta": str(value), "factors": [str(f) for f in factors]},
+    value = delta_factored(args.polys)
+    _emit(args, {"delta": str(value), "factors": [str(f) for f in args.polys]},
           (["delta"], [[str(value)]]))
     return 0
 
@@ -187,13 +186,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_joint(args) -> int:
-    hs = [parse_poly(s) for s in args.polys]
-    return _verdict(args, certify_mod.check_joint(hs, args.kind, args.bound))
+    return _verdict(args, certify_mod.check_joint(args.polys, args.kind,
+                                                  args.bound))
 
 
 def _cmd_condition(args) -> int:
-    hs = [parse_poly(s) for s in args.polys]
-    return _verdict(args, certify_mod.check_theorem_condition(hs, args.l, args.bound))
+    return _verdict(args, certify_mod.check_theorem_condition(
+        args.polys, args.l, args.bound))
 
 
 def _cache(args) -> RootCache:
@@ -202,8 +201,7 @@ def _cache(args) -> RootCache:
 
 
 def _cmd_rd(args) -> int:
-    hs = [parse_poly(s) for s in args.polys]
-    rec = certify_mod.make_rd(hs, args.d, _cache(args))
+    rec = certify_mod.make_rd(args.polys, args.d, _cache(args))
     obj = {"d": rec.d, "r_d": rec.r_d,
            "roots": [_witness_obj(rec.roots[p]) for p in sorted(rec.roots)]}
     _emit(args, obj, (["d", "r_d"], [[rec.d, rec.r_d]]))
@@ -211,8 +209,7 @@ def _cmd_rd(args) -> int:
 
 
 def _cmd_nice(args) -> int:
-    fs = [parse_poly(s) for s in args.polys]
-    ns = nice_transform(fs, args.d, args.r)
+    ns = nice_transform(args.polys, args.d, args.r)
     obj = {"c": str(ns.c), "T": [[str(e) for e in row] for row in ns.T],
            "g": [str(g) for g in ns.g], "d": ns.d, "r": ns.r}
     _emit(args, obj, (["c", "T", "g"],
@@ -222,8 +219,7 @@ def _cmd_nice(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    hs = [parse_poly(s) for s in args.polys]
-    basis, M = distinct_degree_basis(hs)
+    basis, M = distinct_degree_basis(args.polys)
     obj = {"basis": [str(b) for b in basis], "M": M}
     _emit(args, obj, (["basis", "M"],
                       [[";".join(str(b) for b in basis), json.dumps(M)]]))
@@ -265,21 +261,20 @@ def _cmd_montgomery(args) -> int:
     return 0
 
 
-def _search_progression(args, hs):
+def _search_progression(args):
     if args.d is None:
         if args.r is not None:
             raise ValueError("--r applies only with --d")
         return None
     if args.r is not None:
         return (args.d, args.r)
-    return (args.d, certify_mod.make_rd(hs, args.d, _cache(args)).r_d)
+    return (args.d, certify_mod.make_rd(args.polys, args.d, _cache(args)).r_d)
 
 
 def _cmd_search(args) -> int:
-    hs = [parse_poly(s) for s in args.polys]
     A = _json_matrix(args.A)
-    prog = _search_progression(args, hs)
-    res = dio.search_min_frac(hs, A, args.N, prog)
+    prog = _search_progression(args)
+    res = dio.search_min_frac(args.polys, A, args.N, prog)
     obj = {"p": res.p, "values": list(res.values), "max_frac": res.max_frac,
            "N": res.N, "d": res.d, "r_d": res.r_d}
     _emit(args, obj,
@@ -291,11 +286,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_theta_fit(args) -> int:
-    hs = [parse_poly(s) for s in args.polys]
     A = _json_matrix(args.A)
     Ns = [int(s) for s in args.Ns.split(",")]
-    prog = _search_progression(args, hs)
-    fit = dio.theta_fit(hs, A, Ns, prog)
+    prog = _search_progression(args)
+    fit = dio.theta_fit(args.polys, A, Ns, prog)
     obj = {"slope": fit.slope, "intercept": fit.intercept,
            "points": [[n, mf] for n, mf in fit.points]}
     _emit(args, obj,
@@ -427,6 +421,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if hasattr(args, "polys"):  # the first step of every handler
+            args.polys = [parse_poly(s) for s in args.polys]
         return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

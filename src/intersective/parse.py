@@ -18,6 +18,7 @@ from .polys import NEG_INF, IntPoly
 MAX_EXPONENT = 64
 MAX_DEGREE = 1024
 MAX_DEPTH = 100  # parentheses; the recursive descent uses 4 frames per level
+_DIGITS = frozenset("0123456789")  # str.isdigit also accepts "²" and "٣"
 
 
 class ParseError(ValueError):
@@ -34,9 +35,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             if j < len(text) and text[j] == ".":
                 raise ParseError("non-integer literal", j + 1)

@@ -364,63 +364,40 @@ def distinct_degree_basis(hs) -> tuple[list[IntPoly], tuple[tuple[int, ...], ...
     Returns (basis, M) where the basis polynomials have strictly increasing
     degrees, generate the same Z-module of polynomials as the inputs, and
     M is the k x s integer matrix, as row tuples, with (h_i) = M * (basis_j).
+    The basis is the Hermite normal form of the inputs, which is unique:
+    every lead is positive, and 0 <= basis[j].coeff(deg basis[i]) <
+    basis[i].lead for j > i.
     """
     hs = list(hs)
-    if not hs or all(h.is_zero for h in hs):
+    work = [h for h in hs if not h.is_zero]
+    if not work:
         raise ValueError("need at least one nonzero polynomial")
-    width = max(len(h.coeffs) for h in hs if not h.is_zero)
-    # rows in descending-degree column order
-    work = [[h.coeff(width - 1 - c) for c in range(width)] for h in hs if not h.is_zero]
-
-    # integer row echelon (Hermite-style)
-    pivot_rows: list[list[int]] = []
-    pivot_cols: list[int] = []
-    for col in range(width):
-        live = [r for r in work if r[col] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            small = live[0]
-            for r in live[1:]:
-                q = r[col] // small[col]
-                for c in range(width):
-                    r[c] -= q * small[c]
-            live = [r for r in work if r[col] != 0]
-        piv = live[0]
-        if piv[col] < 0:
-            for c in range(width):
-                piv[c] = -piv[c]
-        pivot_rows.append(piv)
-        pivot_cols.append(col)
-        work = [r for r in work if r is not piv]
-    # canonical reduction: entries in a pivot column of earlier rows lie in [0, pivot)
-    for j in range(len(pivot_rows)):
-        pc = pivot_cols[j]
-        pv = pivot_rows[j][pc]
-        for i in range(j):
-            q = pivot_rows[i][pc] // pv
-            if q:
-                for c in range(width):
-                    pivot_rows[i][c] -= q * pivot_rows[j][c]
-
-    basis = [IntPoly(reversed(r)) for r in pivot_rows]
-    basis.reverse()  # ascending degree
+    pivots: list[IntPoly] = []  # descending degree
+    while work:
+        top = max(h.degree for h in work)
+        live = [h for h in work if h.degree == top]
+        work = [h for h in work if h.degree < top]
+        while len(live) > 1:  # Euclid on the leads
+            live.sort(key=lambda h: abs(h.lead))
+            a = live[0]
+            # h - q*a, formed as h + a*(-q) to build one IntPoly fewer
+            rest = [h + a * -(h.lead // a.lead) for h in live[1:]]
+            live = [a] + [h for h in rest if h.degree == top]
+            work += [h for h in rest if h.degree < top and not h.is_zero]
+        a = live[0] if live[0].lead > 0 else -live[0]
+        # reduce the pivots of higher degree into [0, a.lead) at degree top
+        pivots = [b + a * -(b.coeff(top) // a.lead) for b in pivots] + [a]
+    basis = pivots[::-1]
     by_degree = {b.degree: idx for idx, b in enumerate(basis)}
-
     m_rows = []
-    for h in hs:
+    for h in hs:  # greedy division from the top degree down
         coeffs = [0] * len(basis)
-        w = h
-        while not w.is_zero:
-            idx = by_degree.get(w.degree)
-            if idx is None:
+        while not h.is_zero:
+            idx = by_degree.get(h.degree)
+            if idx is None or h.lead % basis[idx].lead:
                 raise ArithmeticError("module reduction failed")
-            q, rem = divmod(w.lead, basis[idx].lead)
-            if rem:
-                raise ArithmeticError("module reduction failed")
-            coeffs[idx] = q
-            w = w - basis[idx] * q
+            coeffs[idx] = h.lead // basis[idx].lead
+            h = h + basis[idx] * -coeffs[idx]
         m_rows.append(tuple(coeffs))
     return basis, tuple(m_rows)
 

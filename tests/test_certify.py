@@ -277,6 +277,15 @@ class TestRootCache:
         cache = RootCache(path)
         assert {d: make_rd([P_CUBIC], d, cache).r_d for d in ds} == want
 
+    def test_lines_with_non_ascii_digits_skipped(self, tmp_path):
+        # int() reads the full-width "５" and "３" as 5 and 3
+        from intersective.cache import poly_key
+        path = tmp_path / "roots.txt"
+        path.write_text(f"{poly_key(X - 3)} ５ 1 ３ 1\n")
+        assert RootCache(path).get(X - 3, 5) is None
+        path.write_text(f"{poly_key(X - 3)} 5 1 3 1\n")
+        assert RootCache(path).get(X - 3, 5).r == 3
+
     def test_memory_only_cache(self):
         cache = RootCache()
         rec = make_rd([P_CUBIC], 19, cache)

@@ -49,6 +49,16 @@ class TestParsePoly:
             parse_poly("x + $")
         assert exc.value.position == 5
 
+    @pytest.mark.parametrize("text,char,position",
+                             [("x²", "²", 2), ("x+٣", "٣", 3), ("１*x", "１", 1)],
+                             ids=["superscript", "arabic-indic", "fullwidth"])
+    def test_only_ascii_digits(self, text, char, position):
+        # str.isdigit accepts all three; int() rejects "²" and reads "٣" as 3
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert str(exc.value) == (f"unexpected character {char!r} "
+                                  f"at position {position}")
+
     def test_unary_minus(self):
         assert parse_poly("-x - 1") == -X - 1
         assert parse_poly("3*(-x+2)") == -3 * X + 6
@@ -293,6 +303,23 @@ class TestCli:
         code, _, err = run_cli(capsys, "roots", "--p", "5", "x^^")
         assert code == 2
         assert "position" in err
+
+    @pytest.mark.parametrize("argv", [["check", "x²"], ["basis", "x", "x+٣"]],
+                             ids=["check", "basis"])
+    def test_non_ascii_digit_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("parse error: unexpected character")
+
+    def test_leading_minus_after_double_dash(self, capsys):
+        # argparse reads "-x^2+2" as an option unless "--" comes first
+        assert run_cli(capsys, "check", "--bound", "1", "-x")[0] == 2
+        assert (run_cli(capsys, "check", "--", "-x^2+2")
+                == run_cli(capsys, "check", "2-x^2"))
+        code, out, err = run_cli(capsys, "basis", "x^2", "--", "-x^2+x")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"basis": ["x", "x^2"], "M": [[0, 1], [1, -1]]}
 
     @pytest.mark.parametrize("argv", [["check", "x-1"],
                                       ["joint", "x-1", "x^2-1"],

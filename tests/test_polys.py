@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -293,6 +294,36 @@ class TestDistinctDegreeBasis:
                 for j, b in enumerate(basis):
                     acc = acc + b * M[i][j]
                 assert acc == h
+
+    def test_hermite_form_spanning_no_more_than_inputs(self):
+        """An oracle that reads only (basis, M): degrees rise, leads are
+        positive, each basis[j] is reduced into [0, lead) at the degree of
+        every basis[i] below it, and the s x s minors of M have gcd 1, so
+        the basis spans no more than the inputs do
+        (test_reproduces_inputs: no less)."""
+        rng = random.Random(2323)
+        for _ in range(400):
+            bound = rng.choice((12, 12, 2 ** 70))
+            hs = [random_intpoly(rng, 6, bound) if rng.random() < 0.9
+                  else IntPoly(()) for _ in range(rng.randint(1, 5))]
+            for _ in range(rng.choice((0, 0, 1, 2))):  # dependent rows
+                hs.append(sum((h * rng.randint(-3, 3) for h in hs), IntPoly(())))
+            if all(h.is_zero for h in hs):
+                with pytest.raises(ValueError):
+                    distinct_degree_basis(hs)
+                continue
+            basis, M = distinct_degree_basis(hs)
+            degs = [b.degree for b in basis]
+            assert degs == sorted(set(degs))
+            assert all(b.lead > 0 for b in basis)
+            for i, b in enumerate(basis):
+                assert all(0 <= c.coeff(b.degree) < b.lead for c in basis[i + 1:])
+            g = 0
+            for rows in itertools.combinations(M, len(basis)):
+                g = math.gcd(g, int(sympy.Matrix(rows).det()))
+                if g == 1:
+                    break
+            assert g == 1
 
 
 def _random_system(rng, k_max=4, deg_max=6):
