@@ -113,9 +113,12 @@ def check_intersective(P: IntPoly | list[IntPoly], kind: str = "second",
     # bound. When x divides P0, 0 is a root everywhere, and only unit roots
     # fail in the second kind
     need = "unit root" if kind == "second" and not P0.coeffs[0] else "root"
+    # the ramified primes that a segment can hold
+    skip = [p for p in ramified if p <= bound]
     for segment in prime_segments(2, bound):
-        p = first_rootless_prime(
-            family, [p for p in segment.tolist() if p not in ramified])
+        for q in skip:
+            segment = segment[segment != q]
+        p = first_rootless_prime(family, segment)
         if p is not None:
             return _fails(kind, bound, p,
                           f"no {need} mod {p} (unramified prime)",

@@ -303,121 +303,106 @@ def _cmd_theta_fit(args) -> int:
 # argument parsing
 
 
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+_POLY, _POLYS = _arg("poly"), _arg("polys", nargs="+")
+_KIND = _arg("--kind", choices=KINDS, default="second")
+_BOUND = _arg("--bound", type=int, default=certify_mod.DEFAULT_SCAN_BOUND)
+_CACHE = _arg("--cache")
+_int = functools.partial(_arg, type=int)
+
+
+# name: (handler, help, arguments after --format); a list of arguments is a
+# required mutually exclusive group
+COMMANDS = {
+    "delta": (_cmd_delta, "product of resultants Res(h, h') over the given "
+                          "irreducible factors", [_POLYS]),
+    "primes": (_cmd_primes, "list primes, optionally in a progression",
+               [_int("--N", required=True), _int("--d"),
+                _int("--r", help="residue with --d (default 1)")]),
+    "roots": (_cmd_roots, "roots mod p, p^k, or composite q",
+              [_POLY, [_int("--p"), _int("--q")],
+               _int("--k", help="precision with --p (default 1)"),
+               _arg("--coprime", action="store_true")]),
+    "certify": (_cmd_certify, "p-adic root certificate at one prime",
+                [_POLY, _int("--p", required=True), _KIND]),
+    "check": (_cmd_check, "whole-polynomial intersectivity verdict",
+              [_POLY, _KIND, _BOUND]),
+    "joint": (_cmd_joint, "joint intersectivity of a family",
+              [_POLYS, _KIND, _BOUND]),
+    "condition": (_cmd_condition,
+                  "linear-combination condition for the main bound",
+                  [_POLYS, _int("--l", required=True), _BOUND]),
+    "rd": (_cmd_rd, "coherent residue r_d of a family",
+           [_POLYS, _int("--d", required=True), _CACHE]),
+    "nice": (_cmd_nice, "nice-system transform under x -> d*x + r",
+             [_POLYS, _int("--d", required=True), _int("--r", default=0)]),
+    "basis": (_cmd_basis, "distinct-degree module basis", [_POLYS]),
+    "expsum": (_cmd_expsum, "weighted exponential sum over a range",
+               [_arg("--f", required=True,
+                     help="JSON list of real coefficients"),
+                _int("--N", required=True), _int("--L", default=0),
+                _int("--m", default=1), _int("--b", default=0)]),
+    "weyl-bound": (_cmd_weyl, "evaluate the Weyl-type bound formula",
+                   [_int("--k", required=True),
+                    _arg("--q", type=float, required=True),
+                    _arg("--N", type=float, required=True),
+                    _arg("--m", type=float, default=1.0),
+                    _arg("--eps", type=float, default=0.0)]),
+    "simul": (_cmd_simul, "brute-force simultaneous approximation",
+              [_arg("--alphas", required=True, help="JSON list of reals"),
+               _int("--Q", required=True),
+               _arg("--weights", help="JSON list of scale factors")]),
+    "montgomery": (_cmd_montgomery,
+                   "witness t with a large weighted exponential sum",
+                   [_arg("--xs", required=True, help="JSON list of reals"),
+                    _arg("--cs", required=True, help="JSON list of weights"),
+                    _int("--M", required=True)]),
+    "search": (_cmd_search, "minimize max_i ||v_i(p)|| over primes p <= N",
+               [_POLYS,
+                _arg("--A", required=True, help="JSON row-major l x k matrix"),
+                _int("--N", required=True), _int("--d"), _int("--r"), _CACHE]),
+    "theta-fit": (_cmd_theta_fit, "empirical decay slope of search minima",
+                  [_POLYS, _arg("--A", required=True),
+                   _arg("--Ns", required=True, help="comma-separated bounds"),
+                   _int("--d"), _int("--r"), _CACHE]),
+}
+
+
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of cmd alone, or of every subcommand
+    when cmd is None. Its usage line names every subcommand either way:
+    argparse prints it for an argument left over after cmd's own."""
     parser = argparse.ArgumentParser(
         prog="intersective",
         description="Intersective polynomial certification and prime-variable "
                     "Diophantine approximation experiments.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    sub = parser.add_subparsers(
+        dest="cmd", required=True,
+        metavar=None if cmd is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if cmd is None else [cmd]:
+        handler, help_, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        return p
-
-    p = add("delta", _cmd_delta, help="product of resultants Res(h, h') over "
-                                      "the given irreducible factors")
-    p.add_argument("polys", nargs="+")
-
-    p = add("primes", _cmd_primes, help="list primes, optionally in a progression")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--r", type=int, help="residue with --d (default 1)")
-
-    p = add("roots", _cmd_roots, help="roots mod p, p^k, or composite q")
-    p.add_argument("poly")
-    modulus = p.add_mutually_exclusive_group(required=True)
-    modulus.add_argument("--p", type=int)
-    modulus.add_argument("--q", type=int)
-    p.add_argument("--k", type=int, help="precision with --p (default 1)")
-    p.add_argument("--coprime", action="store_true")
-
-    p = add("certify", _cmd_certify, help="p-adic root certificate at one prime")
-    p.add_argument("poly")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--kind", choices=KINDS, default="second")
-
-    p = add("check", _cmd_check, help="whole-polynomial intersectivity verdict")
-    p.add_argument("poly")
-    p.add_argument("--kind", choices=KINDS, default="second")
-    p.add_argument("--bound", type=int, default=certify_mod.DEFAULT_SCAN_BOUND)
-
-    p = add("joint", _cmd_joint, help="joint intersectivity of a family")
-    p.add_argument("polys", nargs="+")
-    p.add_argument("--kind", choices=KINDS, default="second")
-    p.add_argument("--bound", type=int, default=certify_mod.DEFAULT_SCAN_BOUND)
-
-    p = add("condition", _cmd_condition,
-            help="linear-combination condition for the main bound")
-    p.add_argument("polys", nargs="+")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--bound", type=int, default=certify_mod.DEFAULT_SCAN_BOUND)
-
-    p = add("rd", _cmd_rd, help="coherent residue r_d of a family")
-    p.add_argument("polys", nargs="+")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--cache")
-
-    p = add("nice", _cmd_nice, help="nice-system transform under x -> d*x + r")
-    p.add_argument("polys", nargs="+")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, default=0)
-
-    p = add("basis", _cmd_basis, help="distinct-degree module basis")
-    p.add_argument("polys", nargs="+")
-
-    p = add("expsum", _cmd_expsum, help="weighted exponential sum over a range")
-    p.add_argument("--f", required=True, help="JSON list of real coefficients")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--L", type=int, default=0)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--b", type=int, default=0)
-
-    p = add("weyl-bound", _cmd_weyl, help="evaluate the Weyl-type bound formula")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--N", type=float, required=True)
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.0)
-
-    p = add("simul", _cmd_simul, help="brute-force simultaneous approximation")
-    p.add_argument("--alphas", required=True, help="JSON list of reals")
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--weights", help="JSON list of scale factors")
-
-    p = add("montgomery", _cmd_montgomery,
-            help="witness t with a large weighted exponential sum")
-    p.add_argument("--xs", required=True, help="JSON list of reals")
-    p.add_argument("--cs", required=True, help="JSON list of weights")
-    p.add_argument("--M", type=int, required=True)
-
-    p = add("search", _cmd_search,
-            help="minimize max_i ||v_i(p)|| over primes p <= N")
-    p.add_argument("polys", nargs="+")
-    p.add_argument("--A", required=True, help="JSON row-major l x k matrix")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--cache")
-
-    p = add("theta-fit", _cmd_theta_fit,
-            help="empirical decay slope of search minima")
-    p.add_argument("polys", nargs="+")
-    p.add_argument("--A", required=True)
-    p.add_argument("--Ns", required=True, help="comma-separated bounds")
-    p.add_argument("--d", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--cache")
-
+        for arg in arguments:
+            if isinstance(arg, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flags, kwargs in arg:
+                    group.add_argument(*flags, **kwargs)
+            else:
+                p.add_argument(*arg[0], **arg[1])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS
+                            else None).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -189,16 +189,22 @@ def first_rootless_prime(fs, primes) -> int | None:
     constant. Within a block the members run in increasing degree, each
     over only the lanes where no member before it has a root. Blocks grow
     from 64 primes up to a fixed cap, so an early failure stays cheap, and
-    memory is linear in the degree. Every prime must be below 2^31 and must
-    not divide the leading coefficient of a member.
+    memory is linear in the degree. primes is any iterable of ints, such as
+    a sorted int64 array from arith.prime_segments, whose blocks are slices
+    of it. Every prime must be below 2^31 and must not divide the leading
+    coefficient of a member.
     """
     fs = sorted(fs, key=lambda f: f.degree)
-    primes = sorted(primes)
-    if primes and primes[-1] >= SCAN_PRIME_LIMIT:
+    if not isinstance(primes, np.ndarray):
+        primes = sorted(primes)
+    elif (primes[1:] < primes[:-1]).any():
+        primes = np.sort(primes)
+    if len(primes) and primes[-1] >= SCAN_PRIME_LIMIT:
         raise ValueError("primes must be below 2^31")
+    primes = np.asarray(primes, dtype=np.int64)
     start, size = 0, _BLOCK_FIRST
     while start < len(primes):
-        lanes = np.array(primes[start:start + size], dtype=np.int64)
+        lanes = primes[start:start + size]
         for f in fs:
             if not lanes.size:
                 break

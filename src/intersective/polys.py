@@ -37,6 +37,15 @@ class IntPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _of(cls, cs: list[int]) -> "IntPoly":
+        """Arithmetic results: a list of ints, trimmed but not type-checked."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
+
     @functools.cached_property
     def _hash(self) -> int:  # once per object, on first use
         return hash(self.coeffs)
@@ -87,32 +96,33 @@ class IntPoly:
         c = self.content()
         if c in (0, 1):
             return self
-        return IntPoly(a // c for a in self.coeffs)
+        return IntPoly._of([a // c for a in self.coeffs])
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "IntPoly":
-        if isinstance(other, int):
-            other = IntPoly((other,))
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, (other,) if isinstance(other, int) else other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return IntPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        return IntPoly._of([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "IntPoly":
-        return self + (-other)
+        a, b = self.coeffs, (other,) if isinstance(other, int) else other.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out += a[len(b):] if len(a) > len(b) else [-y for y in b[len(a):]]
+        return IntPoly._of(out)
 
-    def __rsub__(self, other) -> "IntPoly":
-        return (-self) + other
+    def __rsub__(self, other: int) -> "IntPoly":
+        return -(self - other)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
+        return IntPoly._of([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
+            return IntPoly._of([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -120,7 +130,7 @@ class IntPoly:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -144,15 +154,15 @@ class IntPoly:
         return acc
 
     def derivative(self) -> "IntPoly":
-        return IntPoly(i * c for i, c in enumerate(self.coeffs) if i >= 1)
+        return IntPoly._of([i * c for i, c in enumerate(self.coeffs) if i >= 1])
 
     def compose_linear(self, d: int, r: int) -> "IntPoly":
         """The polynomial p(d*x + r), expanded exactly."""
-        lin = IntPoly((r, d))
-        acc = IntPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + c
-        return acc
+        acc: list[int] = []
+        for c in reversed(self.coeffs):  # Horner: acc <- acc * (d x + r) + c
+            acc = [r * a + d * b for a, b in zip(acc + [0], [0] + acc)]
+            acc[0] += c
+        return IntPoly._of(acc)
 
     # -- display -----------------------------------------------------------
 
@@ -220,7 +230,7 @@ def _pseudo_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
         r = [lb * x for x in r]
         for i, y in enumerate(low):
             r[k + i] -= c * y
-    return IntPoly(q), IntPoly(r)
+    return IntPoly._of(q), IntPoly._of(r)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +276,10 @@ def _subresultants(f: IntPoly, g: IntPoly) -> tuple[int, IntPoly]:
 
 
 def _scale_exact(p: IntPoly, div: int) -> IntPoly:
-    out = []
-    for c in p.coeffs:
-        q, r = divmod(c, div)
-        if r:
-            raise ArithmeticError(f"division by {div} not exact")
-        out.append(q)
-    return IntPoly(out)
+    qrs = [divmod(c, div) for c in p.coeffs]
+    if any(r for _, r in qrs):
+        raise ArithmeticError(f"division by {div} not exact")
+    return IntPoly._of([q for q, _ in qrs])
 
 
 def _normal(p: IntPoly) -> IntPoly:
@@ -380,13 +387,12 @@ def distinct_degree_basis(hs) -> tuple[list[IntPoly], tuple[tuple[int, ...], ...
         while len(live) > 1:  # Euclid on the leads
             live.sort(key=lambda h: abs(h.lead))
             a = live[0]
-            # h - q*a, formed as h + a*(-q) to build one IntPoly fewer
-            rest = [h + a * -(h.lead // a.lead) for h in live[1:]]
+            rest = [h - a * (h.lead // a.lead) for h in live[1:]]
             live = [a] + [h for h in rest if h.degree == top]
             work += [h for h in rest if h.degree < top and not h.is_zero]
         a = live[0] if live[0].lead > 0 else -live[0]
         # reduce the pivots of higher degree into [0, a.lead) at degree top
-        pivots = [b + a * -(b.coeff(top) // a.lead) for b in pivots] + [a]
+        pivots = [b - a * (b.coeff(top) // a.lead) for b in pivots] + [a]
     basis = pivots[::-1]
     by_degree = {b.degree: idx for idx, b in enumerate(basis)}
     m_rows = []
@@ -397,7 +403,7 @@ def distinct_degree_basis(hs) -> tuple[list[IntPoly], tuple[tuple[int, ...], ...
             if idx is None or h.lead % basis[idx].lead:
                 raise ArithmeticError("module reduction failed")
             coeffs[idx] = h.lead // basis[idx].lead
-            h = h + basis[idx] * -coeffs[idx]
+            h = h - basis[idx] * coeffs[idx]
         m_rows.append(tuple(coeffs))
     return basis, tuple(m_rows)
 

@@ -113,8 +113,39 @@ class TestFirstRootlessPrime:
                 first_rootless_prime([P], [5, 7, 3])
 
     def test_primes_beyond_int64_lanes_rejected(self):
-        with pytest.raises(ValueError, match="2\\^31"):
-            first_rootless_prime([X + 1], [2, 2 ** 31 + 11])
+        # the same error above 2^63, where an int64 array cannot hold them
+        for big in (2 ** 31 + 11, 2 ** 64 + 13):
+            with pytest.raises(ValueError,
+                               match="^primes must be below 2\\^31$"):
+                first_rootless_prime([X + 1], [2, big])
+
+    def test_list_order_and_int64_array_agree(self):
+        # check passes each segment as a sorted int64 array; (x^2+1)(x^2-2)
+        # has no root mod p = 3 mod 8 alone, and 3 is the smallest of them
+        rng = random.Random(24)
+        P = (X ** 2 + 1) * (X ** 2 - 2)
+        for q in (2083, 4483, None, 3):
+            primes = [p for p in PRIMES if p % 8 != 3 or q == 3]
+            primes += [q] if q and q not in primes else []
+            shuffled = rng.sample(primes, len(primes))
+            for form in (primes, shuffled, np.array(primes, dtype=np.int64),
+                         np.array(shuffled, dtype=np.int64)):
+                assert first_rootless_prime([P], form) == q
+                assert first_rootless_prime([X ** 2 - 2, X ** 2 + 1],
+                                            form) == q
+
+    def test_ramified_prime_above_int64(self):
+        # D = 27 b^2 + 4 is a prime q > 2^63 with a witness (the simple root
+        # of P mod q lifts); the scan drops only the ramified primes up to
+        # the bound, so q never meets an int64 array
+        b = 2 ** 32 + 17
+        q = 27 * b * b + 4
+        assert sympy.isprime(q) and q > 2 ** 63
+        P = X ** 3 + X + b
+        v = check_intersective(P, "first", 20000)
+        assert list(v.ramified_witnesses) == [q]
+        assert v.reason.endswith("(unramified prime)")
+        assert v.prime == brute_unramified_failure(P, "first", 20000)
 
     def test_no_primes(self):
         assert first_rootless_prime([X ** 2 + 1], []) is None

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import json
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intersective import IntPoly, ParseError, arith, parse_factors, parse_poly
-from intersective.cli import main
+from intersective import cli
+from intersective.cli import COMMANDS, build_parser, main
 
 from helpers import scan_roots
 from test_readme import EXAMPLES
@@ -568,11 +570,22 @@ class TestCli:
 
 
 class TestRepeatedMain:
-    """The parser is built once per process; no call leaves state behind."""
+    """Each subcommand's parser is built once per process; no call leaves
+    state behind."""
 
-    def test_parser_built_once(self):
-        from intersective.cli import build_parser
-        assert build_parser() is build_parser()
+    def test_parser_built_once(self, capsys, monkeypatch):
+        for name in [*COMMANDS, None]:
+            assert build_parser(name) is build_parser(name)
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            lambda self, name, **kw: built.append(name)
+                            or add_parser(self, name, **kw))
+        build_parser.__wrapped__("check")
+        assert built == ["check"]
+        built.clear()
+        assert run_cli(capsys, "check", "--bound", "10", "x-1")[0] == 0
+        assert built == []  # main reuses the parser built above
 
     def test_roots_precision_resets(self, capsys):
         _, out, _ = run_cli(capsys, "roots", "--p", "5", "--k", "3", "x-3")
@@ -590,6 +603,31 @@ class TestRepeatedMain:
     def test_valid_call_after_usage_error(self, capsys):
         assert run_cli(capsys, "check", "--bound")[0] == 2
         assert run_cli(capsys, "check", "--bound", "10", "x-1")[0] == 0
+
+
+class TestParserTable:
+    """main builds the parser of the named subcommand alone, or of all of
+    them when argv[0] names none; both give the outputs of the full parser,
+    top-level usage line included."""
+
+    ARGVS = [[], ["-h"], ["bogus"], ["--", "check", "x"],
+             ["check", "x", "--zzz"], ["roots", "x", "--p", "5", "--zzz"],
+             *([name, *rest] for name in COMMANDS
+               for rest in (["-h"], ["--format", "xml"], ["--zzz"]))]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_same_as_full_parser(self, capsys, monkeypatch, argv):
+        got = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda cmd=None: build_parser(None))
+        assert got == run_cli(capsys, *argv)
+        assert got[0] in (0, 2) and (got[1] if got[0] == 0 else got[2])
+
+    def test_full_parser_lists_every_subcommand(self, capsys):
+        code, out, _ = run_cli(capsys, "-h")
+        assert code == 0 and all(name in out for name in COMMANDS)
+        code, _, err = run_cli(capsys, "bogus")
+        assert code == 2 and all(repr(name) in err for name in COMMANDS)
 
 
 class TestDeepPrecisionCli:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -484,3 +485,46 @@ class TestSympyOracles:
     @given(int_polys)
     def test_parse_of_str_round_trips(self, P):
         assert parse_poly(str(P)) == P
+
+
+def trusted(P: IntPoly) -> IntPoly:
+    """P, after checking that it is canonical and the same value, with the
+    same hash, as the checked constructor builds from its coefficients."""
+    assert type(P) is IntPoly
+    assert all(type(c) is int for c in P.coeffs)
+    assert not P.coeffs or P.coeffs[-1] != 0
+    checked = IntPoly(list(P.coeffs))
+    assert P == checked and hash(P) == hash(checked)
+    return P
+
+
+class TestTrustedResults:
+    """Arithmetic results skip the constructor's per-coefficient type check;
+    they must still be canonical and agree with sympy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_polys, int_polys, coefficients)
+    def test_ring_operations(self, f, g, n):
+        F, G = to_sympy(f), to_sympy(g)
+        for got, want in [(f + g, F + G), (f + n, F + n), (n + f, F + n),
+                          (f - g, F - G), (g - f, G - F), (f - f, F - F),
+                          (f - n, F - n),
+                          (n - f, n - F), (-f, -F), (f * g, F * G),
+                          (f * n, F * n), (n * f, F * n)]:
+            assert trusted(got) == from_sympy(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(IntPoly, st.lists(st.integers(-12, 12), max_size=4)),
+           st.integers(0, 4), st.integers(-9, 9), coefficients)
+    def test_power_derivative_compose_primitive(self, f, e, d, r):
+        F = to_sympy(f)
+        assert trusted(f ** e) == from_sympy(F ** e)
+        assert trusted(f.derivative()) == from_sympy(F.diff(_x))
+        lin = sympy.Poly(d * _x + r, _x, domain="ZZ")
+        assert trusted(f.compose_linear(d, r)) == from_sympy(F.compose(lin))
+        assert trusted(f.primitive()) == from_sympy(F.primitive()[1])
+
+    @pytest.mark.parametrize("bad", [1.0, "1", None, np.int64(1)])
+    def test_checked_constructor_still_refuses_non_ints(self, bad):
+        with pytest.raises(TypeError, match="integer coefficient expected"):
+            IntPoly((1, bad))
