@@ -1,4 +1,4 @@
-"""Integer helpers: primality, factorization, sieves, CRT, valuations."""
+"""Integer helpers: primality, factorization, sieves, valuations."""
 
 from __future__ import annotations
 
@@ -165,6 +165,14 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"factorization failed for {n}")
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1: Newton's method on integers, from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, primes ascending."""
     if n < 1:
@@ -185,7 +193,9 @@ def factorize(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        # a k-th power with root b > 2^32 splits here: rho takes ~sqrt(b) steps
+        d = next((b for k in range(2, m.bit_length() // 32 + 1) if is_prime(k)
+                  and (b := _iroot(m, k)) ** k == m), 0) or _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
     return dict(sorted(out.items()))
@@ -208,9 +218,3 @@ def valuation(n: int, p: int) -> int:
             v += k
             pk, k = pk * pk, 2 * k
     return v
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    inv = pow(m1, -1, m2)
-    return (r1 + (r2 - r1) * inv % m2 * m1) % (m1 * m2)

@@ -50,8 +50,9 @@ class RootCache:
         self.path = Path(path) if path is not None else None
         # (k, r, unit) of the latest entry per (poly_key, p), as in the file
         self._mem: dict[tuple[str, int], tuple[int, int, bool]] = {}
-        # roots checked by get or stored by put, by (polynomial, p)
-        self._roots: dict[tuple[IntPoly, int], PadicRoot] = {}
+        # roots checked by get or stored by put, per polynomial, by prime;
+        # a reader that finds its root here need not call get
+        self.verified: dict[IntPoly, dict[int, PadicRoot]] = {}
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -69,18 +70,14 @@ class RootCache:
             self._mem[(key, int(p))] = (int(k), int(r), unit == "1")
 
     def get(self, P: IntPoly, p: int) -> PadicRoot | None:
-        root = self._roots.get((P, p))
-        if root is not None:
-            return root
-        entry = self._mem.get((poly_key(P), p))
-        if entry is None:
-            return None
-        k, r, unit = entry
-        root = PadicRoot.for_poly(P, p, k, r)
-        if root.r != r or root.unit != unit:  # r must be reduced mod p^k
-            raise ValueError("cache entry inconsistent with polynomial")
-        self._roots[(P, p)] = root
-        return root
+        roots = self.verified.setdefault(P, {})
+        if p not in roots and (entry := self._mem.get((poly_key(P), p))):
+            k, r, unit = entry
+            root = PadicRoot.for_poly(P, p, k, r)
+            if root.r != r or root.unit != unit:  # r must be reduced mod p^k
+                raise ValueError("cache entry inconsistent with polynomial")
+            roots[p] = root
+        return roots.get(p)
 
     def put(self, P: IntPoly, p: int, root: PadicRoot) -> None:
         key = (poly_key(P), p)
@@ -92,7 +89,7 @@ class RootCache:
             if root.r % p ** old_k != old_r:
                 raise ValueError("refusing to replace cached residue class")
         self._mem[key] = (root.k, root.r, root.unit)
-        self._roots[(P, p)] = root
+        self.verified.setdefault(P, {})[p] = root
         if self.path is not None:
             line = f"{key[0]} {p} {root.k} {root.r} {int(root.unit)}\n".encode()
             try:

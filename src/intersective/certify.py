@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import dropwhile
 from math import gcd, prod
 
-from .arith import crt_pair, factorize, prime_segments, valuation
+from .arith import factorize, prime_segments, valuation
 from .cache import RootCache
 from .modroots import (KINDS, SCAN_PRIME_LIMIT, PadicRoot, certify_padic_root,
                        first_rootless_prime, newton_lift)
@@ -203,13 +203,15 @@ def make_rd(hs, d: int, cache: RootCache | None = None) -> RdRecord:
     if cache is None:
         cache = RootCache()
 
+    if gstar.degree < 1 < d:
+        p = min(factorize(d))
+        raise NoSecondKindRootError(p, f"no unit root at prime {p}: "
+                                       "gcd of the family is constant")
+    known = cache.verified.get(gstar, {})  # one lookup per call
     roots: dict[int, PadicRoot] = {}
     residue, modulus = 0, 1
     for p, e in factorize(d).items():
-        if gstar.degree < 1:
-            raise NoSecondKindRootError(p, f"no unit root at prime {p}: "
-                                           "gcd of the family is constant")
-        root = cache.get(gstar, p)
+        root = known.get(p) or cache.get(gstar, p)
         if root is None:
             root = certify_padic_root(gstar, p, "second")
             if root is None:
@@ -220,8 +222,9 @@ def make_rd(hs, d: int, cache: RootCache | None = None) -> RdRecord:
             root = newton_lift(gstar, root, e)
             cache.put(gstar, p, root)
         roots[p] = root
-        pe = p ** e
-        residue = crt_pair(residue, modulus, root.r % pe, pe)
+        pe = p ** e  # CRT: the residue mod modulus * pe that is root.r mod pe
+        inv = pow(modulus, -1, pe) if modulus > 1 else 1
+        residue += (root.r - residue) * inv % pe * modulus
         modulus *= pe
 
     r_d = residue - d if residue else 0

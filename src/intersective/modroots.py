@@ -20,7 +20,7 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .arith import crt_pair, factorize, is_prime, valuation
+from .arith import factorize, is_prime, valuation
 from .polys import IntPoly, squarefree_disc
 
 DEFAULT_SCAN_LIMIT = 10_000  # below 2^14, as _nonzero_roots needs
@@ -385,8 +385,9 @@ def _roots(P: IntPoly, parts: dict[int, int], label: str) -> set[int]:
     for p, e, cs in classes:
         pe = p ** e
         rs = [r for c, j in cs for r in range(c, pe, p ** j)]
+        inv = pow(mod, -1, pe)  # CRT: r0 mod mod, r mod pe
         roots = rs if mod == 1 else [
-            crt_pair(r0, mod, r, pe) for r0 in roots for r in rs]
+            r0 + (r - r0) * inv % pe * mod for r0 in roots for r in rs]
         mod *= pe
     return set(roots)
 

@@ -154,6 +154,10 @@ class IntPoly:
         return acc
 
     def derivative(self) -> "IntPoly":
+        return self._derivative
+
+    @functools.cached_property
+    def _derivative(self) -> "IntPoly":  # once per object, on first use
         return IntPoly._of([i * c for i, c in enumerate(self.coeffs) if i >= 1])
 
     def compose_linear(self, d: int, r: int) -> "IntPoly":

@@ -1,5 +1,8 @@
+import ast
 import math
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -31,6 +34,20 @@ def test_factorize_matches_sympy_to_20000():
 ])
 def test_factorize_matches_sympy_near_shortcut_and_rho(n):
     assert factorize(n) == sympy.factorint(n)
+
+
+def test_powers_of_primes_above_2_64_split():
+    """Pollard rho needs about sqrt(q) = 2^32 steps on q^2, so factorize
+    runs in a child process under a timeout: a regression fails, it does
+    not hang the suite."""
+    q, r = 18446744073709551629, 2 ** 31 - 1  # the least prime above 2^64
+    ns = [q ** 2, 4 * q ** 2, q ** 3, q ** 2 * r ** 2]
+    code = ("from intersective.arith import factorize; "
+            f"print([factorize(n) for n in {ns}])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == [sympy.factorint(n) for n in ns]
 
 
 def test_high_prime_powers_are_quick():

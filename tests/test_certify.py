@@ -225,6 +225,59 @@ class TestMakeRd:
         with pytest.raises(NoSecondKindRootError):
             make_rd([X, X + 1], 6)
 
+    @pytest.mark.parametrize("d", [2, 6, 45, 77, 1001, 2 * 3 * 5 * 7])
+    def test_constant_gcd_names_least_prime_and_writes_nothing(self, tmp_path,
+                                                               d):
+        from intersective.arith import factorize
+        path = tmp_path / "roots.txt"
+        cache = RootCache(path)
+        with pytest.raises(NoSecondKindRootError,
+                           match="gcd of the family is constant") as exc:
+            make_rd([X, X + 1], d, cache)
+        assert exc.value.prime == min(factorize(d))
+        assert not path.exists() and cache.verified == {}
+        assert make_rd([X, X + 1], 1, cache).r_d == 0
+        assert not path.exists()
+
+    def test_colliding_keys_never_share_a_root(self, monkeypatch):
+        """With every polynomial under one cache key, each family still
+        reads its own roots; a prime that the other family wrote is checked
+        against the polynomial and refused, never handed over."""
+        from intersective import cache as cache_mod
+        monkeypatch.setattr(cache_mod, "poly_key", lambda P: "0")
+        ones, minus_ones = [X - 1], [X + 1]
+        cache = RootCache()
+        for _ in range(2):
+            for d in (3, 5, 15):
+                assert make_rd(ones, d, cache).r_d == 1 - d
+            for d in (7, 11, 77):
+                assert make_rd(minus_ones, d, cache).r_d == -1
+        with pytest.raises(ValueError, match="not a root"):
+            make_rd(minus_ones, 3, cache)
+        with pytest.raises(ValueError, match="not a root"):
+            make_rd(ones, 7, cache)
+
+    def test_bench_family_pinned(self, tmp_path):
+        """r_d for d = 1..5000 on {P, xP} in the bench's seeded write order,
+        and the cache file it writes, have fixed hashes; a reloaded cache
+        reproduces every r_d and appends nothing."""
+        import hashlib
+        order = list(range(1, 5001))
+        random.Random("rd:0").shuffle(order)
+        hs = [P_CUBIC, X * P_CUBIC]
+        path = tmp_path / "roots.txt"
+        cache = RootCache(path)
+        rds = [make_rd(hs, d, cache).r_d for d in order]
+        assert hashlib.sha256(",".join(map(str, rds)).encode()).hexdigest() == (
+            "e12acda0daed73b1b697bbd1116daa4505aa6f7ec3866cb003441df4c895c855")
+        data = path.read_bytes()
+        assert (len(data), data.count(b"\n")) == (20628, 693)
+        assert hashlib.sha256(data).hexdigest() == (
+            "3a8fc9a35188588536b8d8dee8d13701e672b795753d17ffd86ae1e91c7b7db5")
+        reloaded = RootCache(path)
+        assert [make_rd(hs, d, reloaded).r_d for d in order] == rds
+        assert path.read_bytes() == data
+
     def test_cache_reuse_is_idempotent(self, tmp_path):
         path = tmp_path / "roots.txt"
         first = {d: make_rd([P_CUBIC], d, RootCache(path)).r_d

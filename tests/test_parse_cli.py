@@ -422,6 +422,17 @@ class TestCli:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["delta"] == "3"
 
+    def test_square_of_a_prime_above_2_64(self):
+        # D = 4 q^2: Pollard rho alone would take about 2^32 steps on q^2
+        proc = subprocess.run(
+            [sys.executable, "-m", "intersective", "check", "--kind", "first",
+             "--bound", "100", "x^2 - 18446744073709551629^2"],
+            capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "certified_up_to"
+        assert [w["p"] for w in doc["witnesses"]] == [2, 18446744073709551629]
+
     def test_env_cache_override(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "envcache.txt"
         monkeypatch.setenv("INTERSECTIVE_CACHE", str(target))
