@@ -10,15 +10,17 @@ text file, one entry per line:
 
 Later lines for the same (poly-hash, p) pair supersede earlier ones at
 higher precision. Lines of any other shape, such as one torn by an
-interrupted write, one holding bytes that are not UTF-8 or one with digits
-other than 0-9, are skipped on load, and a path that cannot be read or
-appended to raises ValueError naming it. A well-formed entry is checked
-against its polynomial once per RootCache object, on the first get for that
-(polynomial, prime): an r that is not a root or not reduced mod p^k, or a
-wrong unit flag, raises ValueError. Later gets, and gets after a put, are
-served from the verified roots held in memory, keyed by the polynomial
-itself so that a hash collision cannot hand one polynomial's root to
-another. Access within a process is expected to be single-writer.
+interrupted write, one holding bytes that are not UTF-8, one with digits
+other than 0-9 or one with a number too long for int(), are skipped on
+load, and a path that cannot be read or appended to raises ValueError
+naming it. A well-formed entry is checked against its polynomial once per
+RootCache object, on the first get for that (polynomial, prime), without
+forming p^k unless r has more than k bits: an r that is not a root or not
+reduced mod p^k, or a wrong unit flag, raises ValueError. Later gets, and
+gets after a put, are served from the verified roots held in memory, keyed
+by the polynomial itself so that a hash collision cannot hand one
+polynomial's root to another. Access within a process is expected to be
+single-writer.
 """
 
 from __future__ import annotations
@@ -67,7 +69,10 @@ class RootCache:
             if m is None:
                 continue
             key, p, k, r, unit = m.groups()
-            self._mem[(key, int(p))] = (int(k), int(r), unit == "1")
+            try:
+                self._mem[(key, int(p))] = (int(k), int(r), unit == "1")
+            except ValueError:  # too long for int(); put never writes one
+                continue
 
     def get(self, P: IntPoly, p: int) -> PadicRoot | None:
         roots = self.verified.setdefault(P, {})

@@ -111,10 +111,7 @@ def _cmd_delta(args) -> int:
 def _cmd_primes(args) -> int:
     """Write the primes one sieve segment at a time, so memory stays flat
     in N; the output is that of _emit on the whole list."""
-    if args.d is None and args.r is not None:
-        raise ValueError("--r applies only with --d")
-    prog = None if args.d is None else (args.d, 1 if args.r is None else args.r)
-    blocks = dio.prime_blocks(args.N, prog)  # checked before the first byte
+    blocks = dio.prime_blocks(args.N, _progression(args, lambda: 1))
     with _stdout() as out:
         if args.format == "csv":
             rows = csv.writer(out)
@@ -195,13 +192,14 @@ def _cmd_condition(args) -> int:
         args.polys, args.l, args.bound))
 
 
-def _cache(args) -> RootCache:
-    return RootCache(args.cache or os.environ.get("INTERSECTIVE_CACHE")
-                     or Path.home() / ".cache" / "intersective" / "roots.txt")
+def _make_rd(args) -> certify_mod.RdRecord:
+    cache = RootCache(args.cache or os.environ.get("INTERSECTIVE_CACHE")
+                      or Path.home() / ".cache" / "intersective" / "roots.txt")
+    return certify_mod.make_rd(args.polys, args.d, cache)
 
 
 def _cmd_rd(args) -> int:
-    rec = certify_mod.make_rd(args.polys, args.d, _cache(args))
+    rec = _make_rd(args)
     obj = {"d": rec.d, "r_d": rec.r_d,
            "roots": [_witness_obj(rec.roots[p]) for p in sorted(rec.roots)]}
     _emit(args, obj, (["d", "r_d"], [[rec.d, rec.r_d]]))
@@ -261,19 +259,19 @@ def _cmd_montgomery(args) -> int:
     return 0
 
 
-def _search_progression(args):
+def _progression(args, default_r):
+    """(d, r) from --d and --r, with r = default_r() when --r is not given,
+    or None without --d."""
     if args.d is None:
         if args.r is not None:
             raise ValueError("--r applies only with --d")
         return None
-    if args.r is not None:
-        return (args.d, args.r)
-    return (args.d, certify_mod.make_rd(args.polys, args.d, _cache(args)).r_d)
+    return (args.d, default_r() if args.r is None else args.r)
 
 
 def _cmd_search(args) -> int:
     A = _json_matrix(args.A)
-    prog = _search_progression(args)
+    prog = _progression(args, lambda: _make_rd(args).r_d)
     res = dio.search_min_frac(args.polys, A, args.N, prog)
     obj = {"p": res.p, "values": list(res.values), "max_frac": res.max_frac,
            "N": res.N, "d": res.d, "r_d": res.r_d}
@@ -288,7 +286,7 @@ def _cmd_search(args) -> int:
 def _cmd_theta_fit(args) -> int:
     A = _json_matrix(args.A)
     Ns = [int(s) for s in args.Ns.split(",")]
-    prog = _search_progression(args)
+    prog = _progression(args, lambda: _make_rd(args).r_d)
     fit = dio.theta_fit(args.polys, A, Ns, prog)
     obj = {"slope": fit.slope, "intercept": fit.intercept,
            "points": [[n, mf] for n, mf in fit.points]}

@@ -135,13 +135,6 @@ def prime_blocks(N: int, progression: tuple[int, int] | None = None):
     return prime_segments(2, N, d, r)
 
 
-def _weight_blocks(w: WeightSpec, lo: int, hi: int):
-    """(n, lambda_{m,b}(n)) over the n in [lo, hi] with mn + b prime, as
-    arrays, one pair per sieve segment."""
-    for vs in prime_segments(w.m * lo + w.b, w.m * hi + w.b, w.m, w.b):
-        yield (vs - w.b) // w.m, np.log(vs)
-
-
 _FIX_BITS, _FIX_LEVELS = 30, 36
 _FIX_ONE = 1 << _FIX_BITS * _FIX_LEVELS
 """Every double is a multiple of 2^-1074, so of 1 / _FIX_ONE = 2^-1080."""
@@ -181,7 +174,8 @@ def exp_sum(f: RealPoly, w: WeightSpec, lo: int, hi: int) -> complex:
         raise ValueError(f"range end exceeds guard of {MAX_SUM_RANGE}")
     powers = [IntPoly.monomial(1, i) for i in range(len(f.coeffs))]
     re = im = 0
-    for ns, lams in _weight_blocks(w, lo, hi):
+    for vs in prime_segments(w.m * lo + w.b, w.m * hi + w.b, w.m, w.b):
+        ns, lams = (vs - w.b) // w.m, np.log(vs)  # the n with mn + b prime
         theta = 2.0 * math.pi * _fracs([f.coeffs], powers, ns)[0]
         dre, dim = _fixed_sums(lams * np.stack([np.cos(theta), np.sin(theta)]))
         re, im = re + dre, im + dim

@@ -45,15 +45,14 @@ class PadicRoot:
 
     @classmethod
     def for_poly(cls, P: IntPoly, p: int, k: int, r: int) -> "PadicRoot":
-        pk = p ** k
-        r %= pk
+        if r < 0 or r.bit_length() > k:  # else r < 2^k <= p^k is reduced
+            r %= p ** k
         fr = P.eval(r)
-        if fr % pk != 0:
+        if fr != 0 and valuation(fr, p) < k:
             raise ValueError(f"{r} is not a root of {P} mod {p}^{k}")
-        v_p_val = k if fr == 0 else min(valuation(fr, p), k)
         dfr = P.derivative().eval(r)
         v_dp = k if dfr == 0 else min(valuation(dfr, p), k)
-        slack = (v_p_val, v_dp) if v_p_val > 2 * v_dp else None
+        slack = (k, v_dp) if k > 2 * v_dp else None
         return cls(p=p, k=k, r=r, unit=(r % p != 0), slack=slack)
 
 
@@ -243,7 +242,7 @@ def _rootless_lanes(P: IntPoly, block) -> np.ndarray:
             gcd_lanes = ~_nonresidue_lanes(disc, ps)
     rootless = np.zeros(len(ps), dtype=bool)
     if gcd_lanes.any():
-        rootless[gcd_lanes] = _coprime_lanes(P, ps[gcd_lanes])
+        rootless[gcd_lanes] = _coprime_lanes(P, ps[gcd_lanes], lc[gcd_lanes])
     return rootless
 
 
@@ -265,10 +264,10 @@ def _nonresidue_lanes(delta: int, ps: np.ndarray) -> np.ndarray:
     return (acc == ps - 1) & (ps > 2)
 
 
-def _coprime_lanes(P: IntPoly, ps: np.ndarray) -> np.ndarray:
+def _coprime_lanes(P: IntPoly, ps: np.ndarray, lc: np.ndarray) -> np.ndarray:
     """For each lane, whether gcd(f, x^p - x) = 1 over F_p, for the monic f
     of _lane_frobenius, by a lane-synchronous Euclid without inverses."""
-    xp, low, ps = _lane_frobenius(P, ps)
+    xp, low = _lane_frobenius(P, ps, lc)
     n = len(low)
     # g[0] = f and g[1] = h = (x^p mod f) - x, top-aligned: row i of g[k]
     # is the coefficient of x^(d[k] - i), and the rows past d[k] are zero
@@ -293,35 +292,33 @@ def _coprime_lanes(P: IntPoly, ps: np.ndarray) -> np.ndarray:
     return d[0] == 0
 
 
-def _lane_frobenius(P: IntPoly,
-                    block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x^p mod f, x^n mod f and the primes as lanes, for f = g mod each
-    prime of the block, none of which may divide lc: g(y) = lc^(n-1) P(y/lc)
-    has coefficient i equal to c_i lc^(n-1-i), n = deg P. Row i of an (n, L)
+def _lane_frobenius(P: IntPoly, ps: np.ndarray,
+                    lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x^p mod f and x^n mod f as lanes, for f = g mod each int64 prime p of
+    ps, none dividing lc, the lead's residues: g(y) = lc^(n-1) P(y/lc) has
+    coefficient i equal to c_i lc^(n-1-i), n = deg P. Row i of an (n, L)
     lane array holds coefficient i of all L lanes. A ladder step folds its n
     high rows into the low n from the top down: x^j = x^(j-n) times x^n mod
     f, each high row reduced mod p once before it multiplies.
     """
-    ps = np.asarray(block, dtype=np.int64)
-    lc = _lane_residues(P.lead, ps)
     # a lane adds up to `period` products below p^2 to a residue before
     # reducing, so its values stay below 2^63
     pmax = int(ps.max())
     period = max(1, (1 << 63) // pmax ** 2 - 1)
     n = P.degree
-    low = np.empty((n, len(block)), dtype=np.int64)
+    low = np.empty((n, len(ps)), dtype=np.int64)
     power = np.ones_like(ps)  # lc^(n-1-i) mod p at row i
     for i in reversed(range(n)):
         low[i] = -_lane_residues(P.coeffs[i], ps) * power % ps  # x^n = low
         power = power * lc % ps
-    acc = np.zeros((n, len(block)), dtype=np.int64)
+    acc = np.zeros((n, len(ps)), dtype=np.int64)
     acc[:1] = 1  # x^0, with no row at all when f = 1
     bits = pmax.bit_length()
     odd = (ps >> np.arange(bits)[:, None]) & 1 == 1  # odd[b]: bit b of p
     for bit in reversed(range(bits)):
         # rows 1.. of s hold the square; row 0 stays 0, so s[:-1] is the
         # square times x
-        s = np.zeros((2 * n + 1, len(block)), dtype=np.int64)
+        s = np.zeros((2 * n + 1, len(ps)), dtype=np.int64)
         c = s[1:]
         for i in range(n):
             c[i:i + n] += acc[i] * acc
@@ -336,7 +333,7 @@ def _lane_frobenius(P: IntPoly,
             if (3 * n - j) % period == 0:
                 c[:j] %= ps
         acc = c[:n] % ps
-    return acc, low, ps
+    return acc, low
 
 
 def _lane_residues(c: int, ps: np.ndarray) -> np.ndarray:

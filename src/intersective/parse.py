@@ -12,13 +12,13 @@ rejected before it is expanded.
 from __future__ import annotations
 
 import math
+import re
 
 from .polys import NEG_INF, IntPoly
 
 MAX_EXPONENT = 64
 MAX_DEGREE = 1024
 MAX_DEPTH = 100  # parentheses; the recursive descent uses 4 frames per level
-_DIGITS = frozenset("0123456789")  # str.isdigit also accepts "²" and "٣"
 
 
 class ParseError(ValueError):
@@ -28,29 +28,18 @@ class ParseError(ValueError):
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            if j < len(text) and text[j] == ".":
-                raise ParseError("non-integer literal", j + 1)
-            tokens.append(("int", int(text[i:j]), i + 1))
-            i = j
-            continue
-        if ch == "x":
-            tokens.append(("x", None, i + 1))
-        elif ch in "+-*^()":
-            tokens.append((ch, None, i + 1))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i + 1)
-        i += 1
+    tokens, pos = [], 1
+    # [0-9]: str.isdigit also accepts "²" and "٣", and \d accepts "٣"
+    for tok in re.findall(r"[0-9]+\.?|\s+|.", text):
+        if tok[0] in "0123456789":
+            if tok[-1] == ".":
+                raise ParseError("non-integer literal", pos + len(tok) - 1)
+            tokens.append(("int", int(tok), pos))
+        elif tok in "x+-*^()":
+            tokens.append((tok, None, pos))
+        elif not tok.isspace():
+            raise ParseError(f"unexpected character {tok!r}", pos)
+        pos += len(tok)
     tokens.append(("end", None, len(text) + 1))
     return tokens
 

@@ -34,9 +34,9 @@ from hypothesis import strategies as st
 
 from intersective import IntPoly, arith, check_intersective, modroots
 from intersective.cli import main
-from intersective.modroots import (_lane_frobenius, _pdivmod, _pgcd, _ppowmod,
-                                   _ptrim, _rootless_lanes, _roots_cz,
-                                   first_rootless_prime)
+from intersective.modroots import (_lane_frobenius, _lane_residues, _pdivmod,
+                                   _pgcd, _ppowmod, _ptrim, _rootless_lanes,
+                                   _roots_cz, first_rootless_prime)
 from intersective.parse import parse_factors
 
 from helpers import scan_roots
@@ -376,7 +376,7 @@ class TestLanesNearTwoToThe31:
         assert first_rootless_prime([X ** 2 + 1], self.BLOCK) == want
 
 
-def refuse_ladder(P, block):
+def refuse_ladder(P, ps, lc):
     raise AssertionError(f"{P} reached the x^p ladder")
 
 
@@ -579,7 +579,8 @@ class TestLaneParts:
         block = [p for p in block if P.lead % p]
         assume(block)
         n = P.degree
-        frobenius, low, ps = _lane_frobenius(P, block)
+        ps = np.array(block, dtype=np.int64)
+        frobenius, low = _lane_frobenius(P, ps, _lane_residues(P.lead, ps))
         for lane, p in enumerate(block):
             # coefficient i of g is c_i lc^(n-1-i), and g is monic
             f = [c * P.lead ** (n - 1 - i) % p

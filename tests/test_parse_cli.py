@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -444,6 +445,10 @@ class TestCli:
     def test_search_matrix_not_rows_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "search", "--N", "50", "--A", "[1]", "x^2")
         assert code == 2 and "--A" in err
+        code, out, err = run_cli(capsys, "search", "--N", "50", "--A", "0.5",
+                                 "x^2")
+        assert (code, out) == (2, "")
+        assert err == "error: --A must be a JSON list of rows, such as [[0.5]]\n"
 
     def test_search_matrix_overflow_exit_2(self, capsys):
         for entry in ("1e400", "1" + "0" * 400):
@@ -526,6 +531,38 @@ class TestCli:
                                  "x-1")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "not a root" in err
+
+    def test_rd_skips_cache_lines_too_long_for_int(self, capsys, tmp_path):
+        # a field past sys.get_int_max_str_digits(), under another key
+        from intersective.cache import poly_key
+        cache = tmp_path / "roots.txt"
+        cache.write_text(f"{poly_key(X + 1)} 5 1 {'4' * 5000} 1\n"
+                         f"{poly_key(X - 1)} 5 2 1 1\n")
+        code, out, err = run_cli(capsys, "rd", "--d", "5", "--cache", str(cache),
+                                 "x-1")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["r_d"] == -4 and doc["roots"][0]["k"] == 2  # entry served
+
+    @pytest.mark.parametrize("P,code,err", [
+        ("(x^3-19)*(x^2+x+1)", 2,
+         "error: 1 is not a root of x^5 + x^4 + x^3 - 19*x^2 - 19*x - 19 "
+         "mod 3^30000000\n"),
+        ("x-1", 0, ""),
+    ], ids=["no_root", "exact_root"])
+    def test_rd_cache_entry_at_huge_precision(self, capsys, tmp_path, P, code,
+                                              err):
+        # checking r = 1 must not form 3^30000000, a 47.5-million-bit number
+        from intersective.cache import poly_key
+        cache = tmp_path / "roots.txt"
+        cache.write_text(f"{poly_key(parse_poly(P))} 3 30000000 1 1\n")
+        start = time.perf_counter()
+        result = run_cli(capsys, "rd", "--d", "3", "--cache", str(cache), P)
+        assert time.perf_counter() - start < 1
+        assert result[0] == code and result[2] == err
+        if code == 0:  # the exact root is served at its precision
+            doc = json.loads(result[1])
+            assert doc["r_d"] == -2 and doc["roots"][0]["k"] == 30000000
 
     @pytest.mark.parametrize("d", ["19", str(19 ** 6)])
     def test_rd_cache_entry_not_reduced_exit_2(self, capsys, tmp_path, d):
@@ -739,6 +776,38 @@ class TestArgumentLimits:
     def test_primes_residue_defaults_to_one_with_d(self, capsys):
         code, out, _ = run_cli(capsys, "primes", "--N", "30", "--d", "4")
         assert code == 0 and json.loads(out)["primes"] == [5, 13, 17, 29]
+
+    def test_search_and_theta_fit_with_d_and_r(self, capsys):
+        # an explicit --r is the residue, not r_6 = -5 of x^3 - 19
+        from intersective import diophantine as dio
+        A, P = [[1.41421356237]], parse_poly("x^3-19")
+        code, out, err = run_cli(capsys, "search", "--N", "500", "--d", "6",
+                                 "--r", "5", "--A", json.dumps(A), "x^3-19")
+        assert code == 0 and err == ""
+        res = dio.search_min_frac([P], A, 500, (6, 5))
+        assert json.loads(out) == {
+            "p": res.p, "values": list(res.values), "max_frac": res.max_frac,
+            "N": 500, "d": 6, "r_d": 5}
+        code, out, err = run_cli(capsys, "theta-fit", "--Ns", "64,1024,4096",
+                                 "--d", "6", "--r", "5", "--A", json.dumps(A),
+                                 "x^3-19")
+        assert code == 0 and err == ""
+        fit = dio.theta_fit([P], A, [64, 1024, 4096], (6, 5))
+        assert json.loads(out) == {
+            "slope": fit.slope, "intercept": fit.intercept,
+            "points": [[n, mf] for n, mf in fit.points]}
+
+    @pytest.mark.parametrize("argv", [
+        ["rd", "--d", "2", "x^2+x+1"],
+        ["search", "--N", "100", "--d", "6", "--A", "[[0.5]]", "x^2+x+1"],
+    ])
+    def test_no_second_kind_root_exit_1(self, capsys, tmp_path, monkeypatch,
+                                        argv):
+        # x^2 + x + 1 is odd at every integer, so r_2 does not exist
+        monkeypatch.setenv("INTERSECTIVE_CACHE", str(tmp_path / "roots.txt"))
+        assert run_cli(capsys, *argv) == (
+            1, "", "conclusive failure: family has no second-kind root at "
+                   "prime 2\n")
 
     def test_roots_coprime_with_p(self, capsys):
         code, out, _ = run_cli(capsys, "roots", "--p", "19", "x")
