@@ -12,6 +12,12 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 """The least strong pseudoprime to all of _MR_BASES (Sorenson and Webster)."""
 _MR4_EXACT_BELOW = 3215031751
 """The least strong pseudoprime to the bases 2, 3, 5 and 7 (Jaeschke)."""
+TABLE_LIMIT = 1 << 14
+"""factorize reads the n below this from _spf. The bound keeps the table
+small: check factors the README quads' low coefficient 48841, and a table
+grown to cover it would cost check more than trial division does."""
+_spf: list[int] = []
+"""_spf[m] is the least prime factor of m >= 2; grown by _spf_upto."""
 
 
 def is_prime(n: int) -> bool:
@@ -21,9 +27,13 @@ def is_prime(n: int) -> bool:
     13 prime bases 2 to 41, exact below _MR_EXACT_BELOW. From there on a
     strong Lucas test is added, which makes the Baillie-PSW test (Baillie
     and Wagstaff, Math. Comp. 35, 1980): no composite is known to pass it.
+    An n that factorize's table of least prime factors already holds is
+    looked up there; is_prime never grows the table.
     """
     if n < 2:
         return False
+    if n < len(_spf):
+        return _spf[n] == n
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -173,11 +183,39 @@ def _iroot(n: int, k: int) -> int:
     return x
 
 
+def _spf_upto(n: int) -> list[int]:
+    """Rebuild _spf to the least power of two above n, and return it."""
+    global _spf
+    size = 1 << n.bit_length()
+    spf = np.arange(size, dtype=np.int64)
+    # from the top down, so that the least divisor p of m with p^2 <= m,
+    # which is prime, writes m's entry last
+    for p in range(math.isqrt(size - 1), 1, -1):
+        spf[p * p::p] = p
+    _spf = spf.tolist()  # one assignment: Python ints, never numpy's
+    return _spf
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}, primes ascending."""
+    """Prime factorization of n >= 1 as {prime: exponent}, primes ascending.
+
+    n below TABLE_LIMIT is read off a table of least prime factors. Above
+    it, the primes up to 47 are divided out, a cofactor that is a perfect
+    power is split by its root, and the rest is split with Pollard's rho.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
+    if n < TABLE_LIMIT:
+        spf = _spf if n < len(_spf) else _spf_upto(n)
+        while n > 1:
+            p, e = spf[n], 1
+            n //= p
+            while spf[n] == p:  # spf[1] = 1 ends it
+                n //= p
+                e += 1
+            out[p] = e
+        return out
     for p in _SMALL_PRIMES:
         if p * p > n:  # what is left is 1 or a prime above every key
             return {**out, n: 1} if n > 1 else out

@@ -12,7 +12,6 @@ checked prime and heuristic beyond the scan bound.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from itertools import dropwhile
 from math import gcd, prod
@@ -182,10 +181,10 @@ class RdRecord:
     roots: dict[int, PadicRoot]
 
 
-@functools.lru_cache(maxsize=64)
-def _squarefree_gcd(hs: tuple[IntPoly, ...]) -> IntPoly:
-    """Squarefree part of a family's primitive gcd, kept across make_rd calls."""
-    return squarefree_part(gcd_primitive(hs))
+_family_gcd: tuple = (None, None)
+"""The family of the last make_rd call and the squarefree part of its
+primitive gcd. The family passed again as the same polynomial objects
+compares equal element by element on identity, without hashing them."""
 
 
 def make_rd(hs, d: int, cache: RootCache | None = None) -> RdRecord:
@@ -199,7 +198,11 @@ def make_rd(hs, d: int, cache: RootCache | None = None) -> RdRecord:
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    gstar = _squarefree_gcd(tuple(hs))
+    global _family_gcd
+    hs = tuple(hs)
+    if hs != _family_gcd[0]:
+        _family_gcd = hs, squarefree_part(gcd_primitive(hs))
+    gstar = _family_gcd[1]
     if cache is None:
         cache = RootCache()
 

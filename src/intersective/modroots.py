@@ -66,10 +66,13 @@ def _nonzero_roots(Q: IntPoly, p: int) -> set[int]:
     if p <= DEFAULT_SCAN_LIMIT:
         # Horner over all residues at once, reduced (by floor division, far
         # cheaper than numpy's %) every third step but the last: three steps
-        # from a residue stay below p^4 < 2^56 (p < 2^14)
+        # from a residue stay below p^4 < 2^56 (p < 2^14). The first two
+        # steps start from the lead; a nonzero constant has no root
+        if len(cs) == 1:
+            return set()
         xs = np.arange(p, dtype=np.int64)
-        acc = np.zeros(p, dtype=np.int64)
-        for i, c in enumerate(reversed(cs), 1):
+        acc = xs * cs[-1] + cs[-2]
+        for i, c in enumerate(reversed(cs[:-2]), 3):
             acc *= xs
             acc += c
             if i % 3 == 0 and i < len(cs):

@@ -71,6 +71,59 @@ def test_valuation_matches_repeated_division(u, p, v, sign):
     assert valuation(sign * u * p ** v, p) == want
 
 
+def test_factorize_table_matches_sympy_in_every_order(monkeypatch):
+    limit = arith.TABLE_LIMIT
+    ns = sorted(set(range(1, limit)) | {limit + e for e in (-2, -1, 0, 1, 2)})
+    want = {n: sympy.factorint(n) for n in ns}
+    shuffled = ns[:]
+    random.Random(27).shuffle(shuffled)
+    for order in (ns, ns[::-1], shuffled):
+        monkeypatch.setattr(arith, "_spf", [])  # the table as first imported
+        top = 0
+        for n in order:
+            got = factorize(n)
+            assert got == want[n] and list(got) == sorted(got), n
+            # rd and roots write these into JSON: never numpy integers
+            assert all(type(p) is int and type(e) is int
+                       for p, e in got.items()), n
+            if n < limit:  # grown to the power of two above the largest n
+                top = max(top, n)
+            assert len(arith._spf) == (1 << top.bit_length() if top else 0)
+        assert len(arith._spf) == limit
+
+
+def test_factorize_above_the_table_bound_never_grows_it(monkeypatch):
+    monkeypatch.setattr(arith, "_spf", [])
+    big = [arith.TABLE_LIMIT, arith.TABLE_LIMIT + 1, 48841, 2 ** 61 - 1,
+           10 ** 12 + 39]
+    for n in big:
+        assert factorize(n) == sympy.factorint(n)
+    assert arith.is_prime(101) and not arith.is_prime(91)  # nor is_prime
+    assert arith._spf == []
+    factorize(100)
+    assert len(arith._spf) == 128
+    for n in big:
+        factorize(n)
+    assert arith.is_prime(1009) and len(arith._spf) == 128
+
+
+@pytest.fixture
+def spf_states(monkeypatch):
+    """Yields twice: first with factorize's table of least prime factors as
+    first imported, so that is_prime below TABLE_LIMIT runs Miller-Rabin,
+    then with the table full, so that it reads the table there. is_prime
+    must leave the table as it found it."""
+    def states():
+        for size in (0, arith.TABLE_LIMIT):
+            monkeypatch.setattr(arith, "_spf", [])
+            if size:
+                arith._spf_upto(size - 1)
+            yield
+            assert len(arith._spf) == size
+
+    return states
+
+
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
@@ -178,13 +231,14 @@ PSI_13 = 3317044064679887385961981  # strong pseudoprime to bases 2 to 41
 STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, PSI_12, PSI_13)
 
 
-def test_is_prime_refuses_strong_pseudoprimes():
+def test_is_prime_refuses_strong_pseudoprimes(spf_states):
     assert PSI_12 == 399165290221 * 798330580441
     assert sympy.isprime(399165290221) and sympy.isprime(798330580441)
     assert arith._MR4_EXACT_BELOW == 3215031751
-    for n in STRONG_PSEUDOPRIMES:
-        assert not sympy.isprime(n)
-        assert not arith.is_prime(n), n
+    for _ in spf_states():
+        for n in STRONG_PSEUDOPRIMES:
+            assert not sympy.isprime(n)
+            assert not arith.is_prime(n), n
 
 
 def _chernick(k: int) -> int | None:
@@ -194,7 +248,7 @@ def _chernick(k: int) -> int | None:
     return math.prod(fs) if all(sympy.isprime(f) for f in fs) else None
 
 
-def test_is_prime_refuses_carmichael_numbers():
+def test_is_prime_refuses_carmichael_numbers(spf_states):
     small = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
              41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921]
     chernick = [n for k in range(1, 400) if (n := _chernick(k))]
@@ -204,12 +258,15 @@ def test_is_prime_refuses_carmichael_numbers():
         fs = sympy.factorint(n)
         assert len(fs) >= 3 and set(fs.values()) == {1}
         assert all((n - 1) % (q - 1) == 0 for q in fs)  # Korselt
-        assert not arith.is_prime(n), n
+    for _ in spf_states():
+        for n in small + chernick + [3215031751]:
+            assert not arith.is_prime(n), n
 
 
-def test_is_prime_matches_sympy_below_10_5():
-    assert [n for n in range(10 ** 5) if arith.is_prime(n)] == \
-        list(sympy.primerange(10 ** 5))
+def test_is_prime_matches_sympy_below_10_5(spf_states):
+    for _ in spf_states():
+        assert [n for n in range(10 ** 5) if arith.is_prime(n)] == \
+            list(sympy.primerange(10 ** 5))
 
 
 def test_is_prime_matches_sympy_across_the_4_base_bound():

@@ -2,6 +2,8 @@ import json
 import math
 import random
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -198,6 +200,24 @@ class TestMakeRd:
         for d in (2, 5, 12, 100):
             assert make_rd(hs, d).r_d == 1 - d
         assert make_rd(hs, 1).r_d == 0
+
+    def test_family_is_read_at_every_call(self):
+        # the last family's gcd is reused only for equal polynomials: a list
+        # changed in place between calls, or an empty one, is read again
+        hs = [X - 1]
+        assert make_rd(hs, 5).r_d == -4
+        hs[0] = X + 1
+        assert make_rd(hs, 5).r_d == -1
+        with pytest.raises(ValueError, match="all-zero"):
+            make_rd([], 5)
+        # and as the first call of a process
+        code = ("from intersective import make_rd\n"
+                "try:\n    make_rd([], 5)\nexcept ValueError as e:\n"
+                "    print(e)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout == "gcd of all-zero inputs is undefined\n", \
+            proc.stderr
 
     def test_divisor_coherence(self):
         cache = RootCache()

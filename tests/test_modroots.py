@@ -475,6 +475,23 @@ class TestScanLimit:
             f = (X - 5) * (X - p + 1) * (X ** 2 - 4)
             assert lift_roots(f, p, 1) == {2, 5, p - 2, p - 1}
 
+    def test_scan_of_low_degrees_matches_direct_scan(self):
+        # the scan starts from the lead's two Horner steps: a nonzero
+        # constant mod p has no root, and degrees 1 to 4 end before, at and
+        # after the first reduction step
+        for p in (2, 3, 7, 101, DEFAULT_SCAN_LIMIT - 27):
+            for c in (1, -1, p + 1, 5 * p - 1):
+                assert modroots._nonzero_roots(IntPoly.constant(c), p) == set()
+                # constant mod p, not mod p^2: no root mod p^k either
+                assert lift_roots(p * X + c, p, 3) == set()
+            rng = random.Random(p)
+            for degree in (1, 2, 3, 4):
+                f = IntPoly([rng.randint(-10 ** 6, 10 ** 6)
+                             for _ in range(degree + 1)]) + X ** degree
+                if any(c % p for c in f.coeffs):
+                    assert sorted(modroots._nonzero_roots(f, p)) == \
+                        scan_roots(f, p)
+
 
 class TestMaxRoots:
     """Root sets above MAX_ROOTS are refused from the class count, before
