@@ -168,6 +168,7 @@ def _roots_cz(cs: list[int], p: int) -> set[int]:
 
 SCAN_PRIME_LIMIT = 1 << 31  # lanes hold products of two residues in int64
 _BLOCK_FIRST, _BLOCK_CAP = 64, 1 << 13
+_TABLE_PRIMES = 1 << 14  # the characters of the primes below come from tables
 
 
 def first_rootless_prime(fs, primes) -> int | None:
@@ -175,26 +176,19 @@ def first_rootless_prime(fs, primes) -> int | None:
     root mod p, or None; a polynomial P alone is the family [P].
 
     The test runs for a block of primes at once, one int64 lane per prime
-    and no modular inverse. A member of degree at most 2 is decided in
-    closed form, a quadratic by Euler's criterion on its discriminant. A
-    cubic has a root at every odd p, prime to lc, at which its discriminant
-    is a nonresidue, by Stickelberger's theorem (Swan, Pacific J. Math. 12
+    (_rootless_lanes). A quadratic member is decided by the character of
+    its discriminant, read off reciprocity tables (_nonresidue_lanes). A
+    cubic has a root at every odd p, prime to lc, where its discriminant is
+    a nonresidue, by Stickelberger's theorem (Swan, Pacific J. Math. 12
     (1962)): a squarefree f of degree n mod p with r irreducible factors
-    has (disc/p) = (-1)^(n-r), so r = 2 there. Its other lanes (p = 2,
-    p | disc, a residue disc; all of them when disc is a square) and every
-    member of degree 4 or more, whose shape that parity leaves open, take
-    the gcd: for a member P of degree n >= 3 and p not dividing its leading
-    coefficient lc, x -> lc x maps the roots of P mod p onto those of the
-    monic g(y) = lc^(n-1) P(y/lc) over Z, so P has a root mod p exactly when
-    gcd(g, x^p - x) != 1 over F_p: a square-and-multiply ladder gives x^p
-    mod g, and a lane-synchronous Euclid finds the lanes whose gcd is
-    constant. Within a block the members run in increasing degree, each
-    over only the lanes where no member before it has a root. Blocks grow
-    from 64 primes up to a fixed cap, so an early failure stays cheap, and
-    memory is linear in the degree. primes is any iterable of ints, such as
-    a sorted int64 array from arith.prime_segments, whose blocks are slices
-    of it. Every prime must be below 2^31 and must not divide the leading
-    coefficient of a member.
+    has (disc/p) = (-1)^(n-r), so r = 2 there. Every other lane of degree 3
+    and up takes the x^p ladder and the Euclid of _coprime_lanes. Within a
+    block the members run in increasing degree, each over only the lanes
+    where no member before it has a root, and blocks grow from 64 primes to
+    a fixed cap, so an early failure stays cheap. primes is any iterable of
+    ints, such as a sorted int64 array from arith.prime_segments, whose
+    blocks are slices of it. Every prime must be below 2^31 and must not
+    divide the leading coefficient of a member.
     """
     fs = sorted(fs, key=lambda f: f.degree)
     if not isinstance(primes, np.ndarray):
@@ -220,10 +214,10 @@ def first_rootless_prime(fs, primes) -> int | None:
 
 def _rootless_lanes(P: IntPoly, block) -> np.ndarray:
     """For each prime p of the block, whether P has no root mod p: in closed
-    form up to degree 2, a x^2 + b x + c by Euler's criterion on b^2 - 4ac
-    at odd p and by parity at p = 2; above, whether gcd(f, x^p - x) = 1
-    over F_p for the monic f of _lane_frobenius, which a cubic takes only
-    where its discriminant is not a nonresidue mod an odd p."""
+    form up to degree 2, a x^2 + b x + c by the character of b^2 - 4ac at
+    odd p and by parity at p = 2; above, whether gcd(f, x^p - x) = 1 over
+    F_p for the monic f of _lane_frobenius, which a cubic takes only where
+    its discriminant is not a nonresidue mod an odd p (_nonresidue_lanes)."""
     ps = np.asarray(block, dtype=np.int64)
     if not (lc := _lane_residues(P.lead, ps)).all():
         bad = block[int(np.argmin(lc))]
@@ -250,21 +244,57 @@ def _rootless_lanes(P: IntPoly, block) -> np.ndarray:
 
 
 def _nonresidue_lanes(delta: int, ps: np.ndarray) -> np.ndarray:
-    """For each lane, whether delta is a quadratic nonresidue mod an odd p,
-    by Euler's criterion: delta^((p - 1)/2) = p - 1, from a ladder over the
-    bits of (p - 1)/2 with products below p^2. False at p = 2."""
-    residue = _lane_residues(delta, ps)
-    # row i of the factors is delta where bit i of e = (p - 1)/2, counted
-    # from the top, is set, and 1 elsewhere
+    """For each lane, whether delta is a quadratic nonresidue mod an odd p;
+    False at p = 2 and where p | delta. Over delta = ±prod q^(v_q) m
+    (_split_delta), (-1/p) comes from p mod 4 and each (q/p) with v_q odd
+    from a table of _characters, by reciprocity for an odd q. A rest m that
+    is not a square takes Euler's criterion."""
+    flips, qs, m = _split_delta(delta)
+    odd = (ps & 3 == 3) & flips  # (-1/p) and the signs of reciprocity
+    for q in qs:
+        odd ^= (table := _characters(q))[ps % len(table)]
+    if isqrt(m) ** 2 != m:
+        odd ^= _euler_lanes(m, ps)
+    return odd & (_lane_residues(delta, ps) != 0) & (ps > 2)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _split_delta(delta: int) -> tuple[bool, tuple[int, ...], int]:
+    """delta as ±prod q^(v_q) m, dividing by 2 and the odd q (composites
+    too) while q^2 <= m and q < 2^14: the parity of delta < 0 plus the q =
+    3 mod 4 with v_q odd, those q, and m, free of primes below 2^14."""
+    m, qs, q = abs(delta) or 1, set(), 2  # qs: the q with v_q odd
+    while q * q <= m and q < _TABLE_PRIMES:
+        while m % q == 0:
+            m, qs = m // q, qs ^ {q}
+        q += 1 + q % 2  # 2, 3, 5, 7, 9, ...
+    if 1 < m < _TABLE_PRIMES:  # a prime: no q with q^2 <= m divides it
+        qs, m = qs | {m}, 1
+    flips = (delta < 0) ^ sum(q & 3 == 3 for q in qs) & 1
+    return bool(flips), tuple(sorted(qs)), m
+
+
+@functools.lru_cache(maxsize=None)
+def _characters(q: int) -> np.ndarray:
+    """Whether (2/r) = -1 for each r mod 8 when q = 2, else whether each r mod
+    the odd prime q is a nonsquare; the tables below 2^14 hold 14 MB in all."""
+    if q == 2:
+        return np.isin(np.arange(8), (3, 5))
+    return np.bincount(np.arange(q) ** 2 % q, minlength=q) == 0
+
+
+def _euler_lanes(m: int, ps: np.ndarray) -> np.ndarray:
+    """Euler's criterion m^((p-1)/2) = p - 1 in each lane, by a ladder over
+    the bits of (p-1)/2 from the top: factor row i is m where bit i is set."""
     e = ps >> 1
     bits = np.arange(int(e.max()).bit_length())[::-1, None]
     acc = np.ones_like(ps)
-    for factor in np.where(e >> bits & 1 == 1, residue, 1):
+    for factor in np.where(e >> bits & 1 == 1, _lane_residues(m, ps), 1):
         acc *= acc
         acc %= ps
         acc *= factor
         acc %= ps
-    return (acc == ps - 1) & (ps > 2)
+    return acc == ps - 1
 
 
 def _coprime_lanes(P: IntPoly, ps: np.ndarray, lc: np.ndarray) -> np.ndarray:

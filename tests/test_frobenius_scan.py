@@ -4,10 +4,11 @@ first_rootless_prime decides "some member P of a family has a root mod p"
 for whole blocks of primes at once, one int64 lane per prime. A member of
 degree at most 2 is decided in closed form: a constant has no root, a
 linear member has one everywhere, and a quadratic has one exactly when its
-discriminant is a square mod p (Euler's criterion in the lanes; parity at
-p = 2). A cubic has a root at every odd p, prime to its leading
-coefficient and its discriminant, at which the discriminant is a
-nonresidue (Stickelberger's theorem, after Swan, Pacific J. Math. 12
+discriminant is a square mod p (its character in the lanes, from
+reciprocity tables and an Euler ladder for a rest with no prime factor
+below 2^14; parity at p = 2). A cubic has a root at every odd p, prime to
+its leading coefficient and its discriminant, at which the discriminant is
+a nonresidue (Stickelberger's theorem, after Swan, Pacific J. Math. 12
 (1962): (disc/p) = (-1)^(n-r) for a squarefree f mod p of degree n with r
 irreducible factors); a square discriminant skips that step, and from
 degree 4 on the parity of r leaves the shape open. Every other lane of
@@ -17,12 +18,15 @@ checked against that Euclid alone, with the marking step patched out. The
 oracles here evaluate P, or the product of the family, at every residue
 instead (helpers.scan_roots), take discriminants and squarefree parts from
 sympy, take that gcd with the scalar F_p arithmetic of modroots, split with
-Cantor-Zassenhaus, and use Euler's criterion at primes just below 2^31.
+Cantor-Zassenhaus, and use Euler's criterion in Python integers for the
+characters and at primes just below 2^31.
 """
 
 import functools
 import math
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -549,6 +553,119 @@ class TestCubicLanes:
         primes = [p for p in primes if P.lead % p]
         assert first_rootless_prime(fs, primes) == \
             brute_first_rootless(P, primes)
+
+
+def euler_nonresidue(delta: int, p: int) -> bool:
+    return p > 2 and pow(delta, (p - 1) // 2, p) == p - 1
+
+
+def refuse_euler(m, ps):
+    raise AssertionError(f"the rest {m} reached the Euler ladder")
+
+
+TABLE_PRIMES = list(sympy.primerange(1 << 14))  # up to 16381
+# primes just above 2^14 and near 2^31: the tables do not cover them
+ROUGH_PRIMES = [16411, 16417, 16421, 65537, 1000003, 2147483629]
+# the discriminants of every quadratic and cubic factor that bench check
+# scans: x^2 - 13, - 17, - 221, x^2 + x + 1, x^3 - 19, x^3 - 10x^2 + 9x - 1
+# (shifts keep them), and the control's x^2 - a with a < 300
+BENCH_DISCRIMINANTS = [52, 68, 884, -3, -(3 ** 3) * 19 ** 2, 2777] + [
+    4 * a for a in range(2, 300)]
+
+
+@st.composite
+def nonresidue_cases(draw):
+    """A delta and a sorted list of lane primes. delta is 0, ±1, ±2^k, or a
+    signed product of a smooth part (primes below 2^14, 16381 and 16411
+    often, random exponents) and a rest: none, a non-square product of
+    primes above 2^14 (the Euler ladder), a square k^2 of such primes, or a
+    100-digit integer. The lanes hold small primes, primes near 2^31,
+    sometimes 2, and primes that divide delta (or k)."""
+    sign = draw(st.sampled_from([1, -1]))
+    tabled = st.one_of(st.sampled_from([16381, 16411]),
+                       st.sampled_from(TABLE_PRIMES))
+    used = draw(st.lists(tabled, max_size=5))
+    smooth = math.prod(q ** draw(st.integers(1, 5)) for q in used)
+    how = draw(st.sampled_from(
+        ["unit", "two", "smooth", "euler", "square", "huge"]))
+    if how == "unit":
+        delta = draw(st.sampled_from([0, 1, -1]))
+    elif how == "two":
+        delta = sign * 2 ** draw(st.integers(1, 200))
+    elif how == "huge":
+        delta = sign * smooth * draw(st.integers(10 ** 99, 10 ** 100))
+    elif how == "smooth":
+        delta = sign * smooth
+    else:
+        rough = draw(st.lists(st.sampled_from(ROUGH_PRIMES), min_size=1,
+                              max_size=3))
+        used += rough
+        rest = math.prod(rough)
+        if how == "euler":
+            assume(math.isqrt(rest) ** 2 != rest)
+        delta = sign * smooth * rest ** (2 if how == "square" else 1)
+    lanes = (draw(st.sets(st.sampled_from(PRIMES), max_size=40))
+             | draw(st.sets(st.sampled_from(TestLanesNearTwoToThe31.BLOCK),
+                            max_size=4))
+             | draw(st.sets(st.just(2)))
+             | set(draw(st.lists(st.sampled_from(used), max_size=4))
+                   if used else []))
+    assume(lanes)
+    return delta, sorted(lanes)
+
+
+class TestNonresidueLanes:
+    """The characters read off reciprocity tables, with an Euler ladder for
+    the rest, against Euler's criterion in Python integers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonresidue_cases())
+    def test_matches_euler_criterion(self, case):
+        delta, lanes = case
+        got = modroots._nonresidue_lanes(
+            delta, np.array(lanes, dtype=np.int64)).tolist()
+        assert got == [euler_nonresidue(delta, p) for p in lanes]
+        for p, nonresidue in zip(lanes, got):
+            if p == 2 or delta % p == 0:
+                assert not nonresidue
+
+    def test_every_prime_below_30000(self):
+        ps = np.array(list(sympy.primerange(30_000)), dtype=np.int64)
+        for delta in (0, 1, -1, 2, -2, 2777, 16381 * 16411, 16411 ** 2,
+                      4 * 16417, -(3 ** 3) * 19 ** 2, 10 ** 40 + 1):
+            got = modroots._nonresidue_lanes(delta, ps).tolist()
+            assert got == [euler_nonresidue(delta, int(p)) for p in ps]
+
+    def test_bench_discriminants_never_reach_the_ladder(self, monkeypatch):
+        monkeypatch.setattr(modroots, "_euler_lanes", refuse_euler)
+        ps = np.array(PRIMES, dtype=np.int64)
+        for delta in BENCH_DISCRIMINANTS:
+            got = modroots._nonresidue_lanes(delta, ps).tolist()
+            assert got == [euler_nonresidue(delta, p) for p in PRIMES]
+        for text in ("(x^3-19)*(x^2+x+1)", "(x^2-13)*(x^2-17)*(x^2-221)",
+                     "(x^4-5*x^2+x+4)*(x^3-10*x^2+9*x-1)",
+                     "(x^2-193)*(x^2-207)*(x^2-194)"):
+            for kind in ("first", "second"):
+                check_intersective(parse_factors(text), kind, 20_000)
+
+    def test_import_builds_no_table(self):
+        code = ("import intersective.cli\n"
+                "from intersective import modroots\n"
+                "print(modroots._characters.cache_info().currsize,"
+                " modroots._split_delta.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["0", "0"]
+
+    def test_rest_above_the_tables_takes_the_ladder(self, monkeypatch):
+        calls = []
+        euler = modroots._euler_lanes
+        monkeypatch.setattr(modroots, "_euler_lanes",
+                            lambda m, ps: calls.append(m) or euler(m, ps))
+        got = modroots._nonresidue_lanes(
+            4 * 16417, np.array(PRIMES, dtype=np.int64)).tolist()
+        assert calls == [16417]
+        assert got == [euler_nonresidue(4 * 16417, p) for p in PRIMES]
 
 
 def padded(a: list[int], n: int) -> list[int]:
